@@ -218,8 +218,14 @@ fn checksum_suite() -> Vec<(String, u64)> {
         "mode_product/32x32x32/mode1".to_string(),
         t.mode_product(1, &u).unwrap().as_slice(),
     );
+    for mode in 0..3 {
+        push(
+            format!("mode_gram/32x32x32/mode{mode}"),
+            t.mode_gram(mode).unwrap().as_slice(),
+        );
+    }
 
-    // Covariance tensor build (chunked t_matmul_acc underneath).
+    // Covariance tensor build (one Khatri–Rao-packed GEMM per 64-sample block).
     let views = random_views(&[24, 24, 20], 300, 23);
     push(
         "covariance_tensor/24x24x20/n300".to_string(),

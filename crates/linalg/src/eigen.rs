@@ -7,6 +7,7 @@
 //! robust and accurate to machine precision.
 
 use crate::{LinalgError, Matrix, Result};
+use std::cmp::Ordering;
 
 /// Eigendecomposition `A = V diag(λ) Vᵀ` of a symmetric matrix.
 ///
@@ -24,8 +25,9 @@ impl SymmetricEigen {
     /// Compute the eigendecomposition of a symmetric matrix.
     ///
     /// The input is symmetrized internally (numerical asymmetry from accumulated
-    /// covariance sums is tolerated); an error is returned if the matrix is not square
-    /// or the sweep budget is exhausted before off-diagonal mass vanishes.
+    /// covariance sums is tolerated); an error is returned if the matrix is not square,
+    /// holds a NaN or infinite entry, or the sweep budget is exhausted before
+    /// off-diagonal mass vanishes.
     pub fn new(matrix: &Matrix) -> Result<Self> {
         Self::with_max_sweeps(matrix, 100)
     }
@@ -43,6 +45,11 @@ impl SymmetricEigen {
             return Ok(Self {
                 eigenvalues: Vec::new(),
                 eigenvectors: Matrix::zeros(0, 0),
+            });
+        }
+        if matrix.as_slice().iter().any(|x| !x.is_finite()) {
+            return Err(LinalgError::NonFinite {
+                routine: "jacobi eigendecomposition",
             });
         }
         let mut a = matrix.clone();
@@ -87,9 +94,14 @@ impl SymmetricEigen {
             });
         }
 
-        let mut order: Vec<usize> = (0..n).collect();
         let diag: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-        order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).expect("finite eigenvalues"));
+        if diag.iter().any(|l| !l.is_finite()) {
+            return Err(LinalgError::NonFinite {
+                routine: "jacobi eigendecomposition",
+            });
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).unwrap_or(Ordering::Equal));
 
         let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
         let eigenvectors = v.select_columns(&order);
@@ -202,6 +214,22 @@ mod tests {
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
+    }
+
+    #[test]
+    fn non_finite_input_is_an_error_not_a_panic() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut m = Matrix::identity(3);
+            m[(1, 2)] = bad;
+            m[(2, 1)] = bad;
+            assert_eq!(
+                SymmetricEigen::new(&m).unwrap_err(),
+                LinalgError::NonFinite {
+                    routine: "jacobi eigendecomposition"
+                }
+            );
+            assert!(m.inverse_sqrt_spd(1e-12).is_err());
+        }
     }
 
     #[test]

@@ -37,6 +37,11 @@ pub enum LinalgError {
     },
     /// An argument was outside its valid range.
     InvalidArgument(String),
+    /// A routine met a NaN or infinite value it cannot order or factor.
+    NonFinite {
+        /// Name of the routine.
+        routine: &'static str,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -62,6 +67,9 @@ impl fmt::Display for LinalgError {
                 "{routine} did not converge after {iterations} iterations"
             ),
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            LinalgError::NonFinite { routine } => {
+                write!(f, "{routine} met a non-finite value (NaN or infinity)")
+            }
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The blocked, packed GEMM engine behind every dense product kernel.
 //!
-//! All of `matmul`, `t_matmul`, `matmul_t`, `t_matmul_acc`, `syrk`/`syrk_t` (and
-//! through them `gram`, covariance/whitening, PCA and the CP-ALS solvers) funnel into
-//! `gemm`, a single BLIS-style driver:
+//! All of `matmul`, `t_matmul`, `matmul_t`, `t_matmul_acc`,
+//! `khatri_rao_t_matmul_acc`, `syrk`/`syrk_t` (and through them `gram`,
+//! covariance/whitening, the covariance-tensor build, PCA and the CP-ALS solvers)
+//! funnel into `gemm`, a single BLIS-style driver:
 //!
 //! * the reduction dimension is split into blocks of [`KC`] values;
 //! * panels of `B` ([`KC`]`×NRV`) are **packed once per k-block** into a shared
@@ -29,6 +30,11 @@
 //! Edge tiles are handled by zero-padding the packed panels to full `MR`/`NRV` width
 //! and copying back only the valid lanes, so the hot loop never branches on tile
 //! validity.
+//!
+//! Each tile prefetches the output lines it will add onto before its microkernel
+//! runs, so the read-modify-write at the end of a shallow reduction (`k` of a few
+//! dozen steps against an output larger than the cache, as in the tensor build)
+//! finds them in L1 instead of stalling.
 //!
 //! ## Shared B packing
 //!
@@ -67,7 +73,9 @@
 //! Two kernel modes share that schedule (see [`KernelMode`]):
 //!
 //! * **Strict** (default): multiply and add stay separate instructions, so SIMD and
-//!   scalar builds produce the same bits on every host.
+//!   scalar builds produce the same bits on every host. The band loop is compiled
+//!   for scalar, AVX2 and AVX-512F and dispatches to the widest the host has;
+//!   vector lanes are independent output elements, so the choice changes no bit.
 //! * **Fma** (opt-in via `TCCA_KERNEL_MODE=fma` or [`set_kernel_mode`]): the
 //!   microkernel contracts each `a·b + acc` into a fused multiply-add
 //!   (`vfmadd` under AVX2+FMA) — roughly twice the multiply throughput, but the
@@ -518,12 +526,20 @@ fn band_kblock<E: Element, const NRV: usize>(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
+        static HAS_AVX512: OnceLock<bool> = OnceLock::new();
         static HAS_AVX2: OnceLock<bool> = OnceLock::new();
         if fma {
             // SAFETY: `fma == true` only after `clamp_to_host` (or the unit tests)
             // verified AVX2+FMA at runtime.
             unsafe {
                 band_kblock_fma::<E, NRV>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+            }
+            return;
+        }
+        if *HAS_AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f")) {
+            // SAFETY: AVX-512F support was verified at runtime just above.
+            unsafe {
+                band_kblock_avx512::<E, NRV>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
             }
             return;
         }
@@ -547,6 +563,31 @@ fn band_kblock<E: Element, const NRV: usize>(
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn band_kblock_avx2<E: Element, const NRV: usize>(
+    band_i0: usize,
+    c: &mut [E],
+    n: usize,
+    p0: usize,
+    kc: usize,
+    upper_only: bool,
+    a: ASource<'_, E>,
+    bp: &[E],
+    ap: &mut [E],
+) {
+    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+}
+
+/// The band loop recompiled with 512-bit vectors enabled: an `NR = 8` f64 tile
+/// row becomes one zmm register, so a reduction step issues half the multiply and
+/// add instructions of the ymm build. Still no FMA contraction, so the results
+/// are bit-identical to the scalar and AVX2 builds.
+///
+/// # Safety
+///
+/// The host must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn band_kblock_avx512<E: Element, const NRV: usize>(
     band_i0: usize,
     c: &mut [E],
     n: usize,
@@ -646,6 +687,10 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                     continue;
                 }
                 let mv = MR.min(mc - ib * MR);
+                for ii in 0..mv {
+                    let base = (row0 + ii) * n + j0;
+                    prefetch(&c[base..base + nv]);
+                }
                 let mut acc = [[E::ZERO; NRV]; MR];
                 match a {
                     ASource::Strided { data, stride, .. } if mv == MR => {
@@ -678,6 +723,28 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
     }
 }
 
+/// Ask the cache to fetch the first and last line of `row` — the output
+/// segment a tile adds its sums onto once its reduction finishes. Issued before
+/// the tile's microkernel runs, the loads overlap its arithmetic; shallow
+/// reductions (the 64-sample tensor-build blocks) otherwise stall on every
+/// tile's read-modify-write of an output larger than the cache. A hint only:
+/// it changes no value.
+#[inline(always)]
+fn prefetch<E>(row: &[E]) {
+    #[cfg(target_arch = "x86_64")]
+    for e in [row.first(), row.last()].into_iter().flatten() {
+        // SAFETY: `_mm_prefetch` never faults and reads nothing the program can
+        // observe; the pointer comes from a live reference.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                (e as *const E).cast(),
+            );
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 /// Pack lanes of `A` itself (`lane i`, `step p` → `a[i][p]`): the `C = A·B` and
 /// `C = A·Bᵀ` left operand.
 pub(crate) fn pack_rows(a: &Matrix) -> impl Fn(&mut [f64], usize, usize, usize, usize) + Sync + '_ {
@@ -705,6 +772,45 @@ pub(crate) fn pack_cols(a: &Matrix) -> impl Fn(&mut [f64], usize, usize, usize, 
             let seg = &a.row(p0 + p)[i0..i0 + valid];
             let lane = &mut dst[p * MR..p * MR + valid];
             lane.copy_from_slice(seg);
+        }
+    }
+}
+
+/// Pack lanes of a Khatri–Rao operand whose reduction steps are the sample
+/// columns `s0..` of `factors` (`d_q × N` each): lane `e = i_1 + d_1·(i_2 + d_2·(…))`
+/// at step `p` is `f_1[i_1][s0 + p] · f_2[i_2][s0 + p] · …`, multiplied left to
+/// right so every entry has the bits of the materialized Khatri–Rao row. An empty
+/// factor list is the single all-ones lane. The `C = Kᵀ·B` left operand of
+/// [`Matrix::khatri_rao_t_matmul_acc`]; the Khatri–Rao matrix itself never exists.
+pub(crate) fn pack_khatri_rao(
+    factors: &[Matrix],
+    s0: usize,
+) -> impl Fn(&mut [f64], usize, usize, usize, usize) + Sync + '_ {
+    move |dst, i0, valid, p0, kc| {
+        if valid < MR {
+            dst.fill(0.0);
+        }
+        let steps = s0 + p0..s0 + p0 + kc;
+        for lane in 0..valid {
+            let Some((first, others)) = factors.split_first() else {
+                for p in 0..kc {
+                    dst[p * MR + lane] = 1.0;
+                }
+                continue;
+            };
+            let mut e = i0 + lane;
+            let row = &first.row(e % first.rows())[steps.clone()];
+            e /= first.rows();
+            for (p, &v) in row.iter().enumerate() {
+                dst[p * MR + lane] = v;
+            }
+            for f in others {
+                let row = &f.row(e % f.rows())[steps.clone()];
+                e /= f.rows();
+                for (p, &v) in row.iter().enumerate() {
+                    dst[p * MR + lane] *= v;
+                }
+            }
         }
     }
 }
@@ -870,6 +976,18 @@ mod tests {
         let a1 = sample(3 * MR + 2, KC - 5, 0.1);
         let b1 = sample(KC - 5, NR_SKINNY, 0.2);
         assert_eq!(run_mode(&a1, &b1, 2, false), naive(&a1, &b1));
+    }
+
+    #[test]
+    fn dispatched_simd_build_matches_the_scalar_triple_loop() {
+        // Within one k-block each element is a plain ascending sum, so whichever
+        // strict SIMD build the host dispatches to (scalar, AVX2, AVX-512F) must
+        // reproduce the naive loop bit for bit, wide and skinny tiles alike.
+        for n in [2 * NR + 3, NR, NR_SKINNY - 1] {
+            let a = sample(2 * MC + 5, KC - 3, 0.6);
+            let b = sample(KC - 3, n, 0.9);
+            assert_eq!(run_mode(&a, &b, 2, false), naive(&a, &b), "n = {n}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! the `TCCA_NUM_THREADS` override.
 
 use crate::{gemm, LinalgError, Matrix, Result};
+use std::ops::Range;
 
 /// Edge length of the tiles used by the blocked transpose: 32×32 f64 tiles (8 KiB for
 /// source + destination) sit comfortably in L1 while amortizing the column-strided
@@ -113,9 +114,8 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Accumulating product `out += selfᵀ * other`, used by the chunked covariance
-    /// tensor build to avoid a temporary per chunk. Keeps the same ascending reduction
-    /// order as [`Matrix::t_matmul`].
+    /// Accumulating product `out += selfᵀ * other`, without a temporary for the
+    /// product. Keeps the same ascending reduction order as [`Matrix::t_matmul`].
     pub fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.rows() != other.rows() || out.rows() != self.cols() || out.cols() != other.cols() {
             return Err(LinalgError::ShapeMismatch {
@@ -138,6 +138,75 @@ impl Matrix {
                 pack: &gemm::pack_cols(self),
             },
             &gemm::pack_panel_rows(other),
+        );
+        Ok(())
+    }
+
+    /// Accumulating Khatri–Rao product `out += Kᵀ · B` over the sample columns
+    /// `samples` shared by `y` (`d × N`) and every matrix in `factors` (`d_q × N`).
+    /// Row `s` of `K` is the Khatri–Rao column `f_L[:, s] ⊗ … ⊗ f_1[:, s]` (first
+    /// factor's index varying fastest; no factors means the single entry 1) and
+    /// row `s` of `B` is `y[:, s]ᵀ`, so `out` is `(Π d_q) × d`.
+    ///
+    /// This is one sample block of a moment tensor's flat storage: the GEMM's A
+    /// packer forms the Khatri–Rao entries straight into its micro-panels, so the
+    /// `|samples| × Π d_q` matrix `K` is never built. The entries are multiplied
+    /// left to right (`(f_1·f_2)·f_3…`) and reduced in ascending sample order, so
+    /// for finite inputs the result is bit-identical to materializing `K` and `B`
+    /// and calling [`Matrix::t_matmul_acc`].
+    pub fn khatri_rao_t_matmul_acc(
+        factors: &[Matrix],
+        y: &Matrix,
+        samples: Range<usize>,
+        out: &mut Matrix,
+    ) -> Result<()> {
+        let rows: usize = factors.iter().map(Matrix::rows).product();
+        let flops = samples.len() * rows * y.rows();
+        Self::khatri_rao_t_matmul_acc_with_threads(
+            factors,
+            y,
+            samples,
+            out,
+            parallel::threads_for_work(flops),
+        )
+    }
+
+    /// [`Matrix::khatri_rao_t_matmul_acc`] with an explicit thread count. The
+    /// result is bit-identical for every `threads >= 1`.
+    pub fn khatri_rao_t_matmul_acc_with_threads(
+        factors: &[Matrix],
+        y: &Matrix,
+        samples: Range<usize>,
+        out: &mut Matrix,
+        threads: usize,
+    ) -> Result<()> {
+        let rows: usize = factors.iter().map(Matrix::rows).product();
+        if let Some(f) = factors.iter().find(|f| f.cols() != y.cols()) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "khatri_rao_t_matmul_acc",
+                lhs: f.shape(),
+                rhs: y.shape(),
+            });
+        }
+        if samples.start > samples.end || samples.end > y.cols() || out.shape() != (rows, y.rows())
+        {
+            return Err(LinalgError::ShapeMismatch {
+                op: "khatri_rao_t_matmul_acc",
+                lhs: out.shape(),
+                rhs: (y.rows(), samples.len()),
+            });
+        }
+        let s0 = samples.start;
+        let pack_y = gemm::pack_panel_cols(y);
+        gemm::gemm(
+            rows,
+            y.rows(),
+            samples.len(),
+            out,
+            threads,
+            false,
+            &gemm::pack_khatri_rao(factors, s0),
+            &move |dst: &mut [f64], j0, valid, p0, kc| pack_y(dst, j0, valid, s0 + p0, kc),
         );
         Ok(())
     }
@@ -436,6 +505,39 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(2, 1)], 6.0);
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn khatri_rao_t_matmul_acc_matches_the_materialized_product() {
+        let f1 = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![-1.0, 0.5, 4.0]]).unwrap();
+        let f2 = Matrix::from_rows(&[vec![2.0, -3.0, 1.0]]).unwrap();
+        let y = Matrix::from_rows(&[vec![1.0, -2.0, 5.0], vec![0.0, 3.0, 1.0]]).unwrap();
+        // Samples 1..3, rows e = i1 + 2·i2: out[e][j] = Σ_s f1[i1][s]·f2[i2][s]·y[j][s].
+        let mut out = Matrix::filled(2, 2, 1.0);
+        Matrix::khatri_rao_t_matmul_acc(&[f1.clone(), f2.clone()], &y, 1..3, &mut out).unwrap();
+        let want = |e: usize, j: usize| -> f64 {
+            1.0 + (1..3)
+                .map(|s| f1[(e, s)] * f2[(0, s)] * y[(j, s)])
+                .sum::<f64>()
+        };
+        for e in 0..2 {
+            for j in 0..2 {
+                assert_eq!(out[(e, j)], want(e, j));
+            }
+        }
+        // No factors: the Khatri–Rao row is the single entry 1, so out sums y's rows.
+        let mut sums = Matrix::zeros(1, 2);
+        Matrix::khatri_rao_t_matmul_acc(&[], &y, 0..3, &mut sums).unwrap();
+        assert_eq!(sums.row(0), &[4.0, 4.0]);
+        // Shape errors: a factor with another sample count, a range past the end, a
+        // wrongly shaped output.
+        let short = Matrix::zeros(2, 2);
+        assert!(Matrix::khatri_rao_t_matmul_acc(&[short], &y, 0..2, &mut out).is_err());
+        assert!(
+            Matrix::khatri_rao_t_matmul_acc(std::slice::from_ref(&f1), &y, 1..4, &mut out).is_err()
+        );
+        let mut wrong = Matrix::zeros(3, 2);
+        assert!(Matrix::khatri_rao_t_matmul_acc(&[f1], &y, 0..3, &mut wrong).is_err());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Minimal scoped-thread work partitioning for the dense kernels.
 //!
-//! The TCCA pipeline is an **offline** batch computation: every hot kernel (matmul,
-//! MTTKRP, covariance-tensor accumulation) is a loop over disjoint blocks of an output
-//! buffer. This crate provides exactly that shape of parallelism — split a mutable
-//! slice into fixed-size chunks and hand contiguous runs of chunks to scoped threads —
+//! The TCCA pipeline is an **offline** batch computation: every hot kernel (the
+//! blocked GEMM behind every dense product and the covariance-tensor build, whose
+//! Khatri–Rao operand is packed inside it; MTTKRP; the mode-`n` Gram of the HOSVD
+//! initializations) is a loop over disjoint blocks of an output buffer. This crate
+//! provides exactly that shape of parallelism — split a mutable slice into
+//! fixed-size chunks and hand contiguous runs of chunks to scoped threads —
 //! with no queues, no work stealing and no persistent pool. `std::thread::scope` keeps
 //! everything borrow-checked; spawning a handful of OS threads per multi-millisecond
 //! kernel call is noise compared to the kernel itself.

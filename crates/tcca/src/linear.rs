@@ -16,58 +16,44 @@ use crate::{Result, TccaError, TccaOptions};
 use linalg::{center_rows, covariance, Matrix};
 use tensor::DenseTensor;
 
-/// Samples per block of the chunked moment-tensor accumulation. 64 keeps the
-/// Khatri–Rao block (`64 × Π_{p≥2} d_p`) cache-resident at paper-scale dimensions
-/// while amortizing the GEMM over enough columns to pay off. Fixed (never derived
-/// from the thread count) so results are reproducible run to run.
+/// Samples per block of the chunked moment-tensor accumulation: each block is one
+/// GEMM with a reduction depth of 64, whose partial sums are added onto the tensor
+/// block by block. The block size fixes every element's summation order, so it is
+/// part of the result's bits — never derived from the thread count, never changed
+/// without regenerating the checksum baselines.
 const MOMENT_CHUNK: usize = 64;
 
 /// Accumulate the `m`-th-order moment tensor `(1/N) Σ_n y₁ₙ ∘ y₂ₙ ∘ … ∘ yₘₙ` of
 /// already-centered (or whitened) `d_p × N` views.
 ///
-/// Instead of one [`DenseTensor::add_rank_one`] scatter per sample — which walks the
-/// whole tensor per sample with per-sample column allocations — this builds the tensor
-/// GEMM-style over sample chunks. With the first-index-fastest layout, the flat storage
-/// *is* the row-major `(Π_{p≥2} d_p) × d₁` matrix `unfold₁(M)ᵀ`, and for each chunk of
-/// `c` samples `unfold₁(M)ᵀ += Kᵀ B` where row `j` of `K` (`c × Π_{p≥2} d_p`) is the
-/// Khatri–Rao column `y_mⱼ ⊗ … ⊗ y₂ⱼ` and row `j` of `B` (`c × d₁`) is `y₁ⱼᵀ` — for
-/// order 3 this is exactly `unfold₁(M) = Y₁ (Y₃ ⊙ Y₂)ᵀ / N` built chunk by chunk.
-/// All scratch buffers (the per-view column buffers and both chunk matrices) are
-/// allocated once and reused across chunks.
-fn moment_tensor(views: &[Matrix]) -> Result<DenseTensor> {
+/// With the first-index-fastest layout, the flat storage *is* the row-major
+/// `(Π_{p≥2} d_p) × d₁` matrix `unfold₁(M)ᵀ`, and for each block of samples
+/// `unfold₁(M)ᵀ += Kᵀ B`, where row `j` of `K` is the Khatri–Rao column
+/// `y_mⱼ ⊗ … ⊗ y₂ⱼ` and row `j` of `B` is `y₁ⱼᵀ` — for order 3 this is exactly
+/// `unfold₁(M) = Y₁ (Y₃ ⊙ Y₂)ᵀ / N` built block by block.
+/// [`Matrix::khatri_rao_t_matmul_acc`] computes each block's Khatri–Rao entries
+/// inside the GEMM's packer, in parallel, so no `64 × Π_{p≥2} d_p` staging matrix
+/// is built. `threads: None` sizes each block's GEMM by its work; an explicit count
+/// is for the determinism tests (the bits never depend on it).
+fn moment_tensor(views: &[Matrix], threads: Option<usize>) -> Result<DenseTensor> {
     let n = views[0].cols();
     let shape: Vec<usize> = views.iter().map(|v| v.rows()).collect();
-    let d0 = shape[0];
-    let rest: usize = shape[1..].iter().product::<usize>().max(1);
-    let chunk = MOMENT_CHUNK.min(n.max(1));
-    // Flat accumulator: row-major (rest × d0) == the tensor's first-index-fastest data.
-    let mut acc = Matrix::zeros(rest, d0);
-    // Reused scratch: sample columns of views 1.., the KR block and the view-0 block.
-    let mut col_bufs: Vec<Vec<f64>> = shape[1..].iter().map(|&d| vec![0.0; d]).collect();
-    let mut kr_block = Matrix::zeros(chunk, rest);
-    let mut b_block = Matrix::zeros(chunk, d0);
-    for start in (0..n).step_by(chunk) {
-        let c = chunk.min(n - start);
-        for j in 0..c {
-            let sample = start + j;
-            let b_row = b_block.row_mut(j);
-            for (i, b) in b_row.iter_mut().enumerate() {
-                *b = views[0][(i, sample)];
-            }
-            for (buf, v) in col_bufs.iter_mut().zip(views[1..].iter()) {
-                for (i, x) in buf.iter_mut().enumerate() {
-                    *x = v[(i, sample)];
-                }
-            }
-            kr_expand_row(kr_block.row_mut(j), &col_bufs);
+    let rest: usize = shape[1..].iter().product();
+    // Flat accumulator: row-major (rest × d₁) == the tensor's first-index-fastest data.
+    let mut acc = Matrix::zeros(rest, shape[0]);
+    for start in (0..n).step_by(MOMENT_CHUNK) {
+        let block = start..n.min(start + MOMENT_CHUNK);
+        match threads {
+            Some(t) => Matrix::khatri_rao_t_matmul_acc_with_threads(
+                &views[1..],
+                &views[0],
+                block,
+                &mut acc,
+                t,
+            ),
+            None => Matrix::khatri_rao_t_matmul_acc(&views[1..], &views[0], block, &mut acc),
         }
-        // Zero the tail rows of a short final chunk so the full-height GEMM adds 0.
-        for j in c..chunk {
-            kr_block.row_mut(j).fill(0.0);
-        }
-        kr_block
-            .t_matmul_acc(&b_block, &mut acc)
-            .map_err(tensor_shape_bug)?;
+        .map_err(tensor_shape_bug)?;
     }
     let weight = 1.0 / n.max(1) as f64;
     let mut data = acc.into_vec();
@@ -81,42 +67,13 @@ fn tensor_shape_bug(e: linalg::LinalgError) -> TccaError {
     TccaError::InvalidInput(format!("internal moment-tensor shape error: {e}"))
 }
 
-/// Fill `row` (length `Π d_k`) with the Khatri–Rao column `v_L ⊗ … ⊗ v_1` of the
-/// per-view sample columns, first view's index varying fastest (matching the tensor
-/// layout). Expands in place: after step `k` the leading `Π_{l≤k} d_l` entries hold the
-/// partial product, processed backwards so nothing is overwritten before use.
-fn kr_expand_row(row: &mut [f64], columns: &[Vec<f64>]) {
-    if columns.is_empty() {
-        if let Some(first) = row.first_mut() {
-            *first = 1.0;
-        }
-        return;
-    }
-    let mut len = columns[0].len();
-    row[..len].copy_from_slice(&columns[0]);
-    for col in &columns[1..] {
-        for j in (1..col.len()).rev() {
-            let cj = col[j];
-            let (head, tail) = row.split_at_mut(j * len);
-            for (t, &h) in tail[..len].iter_mut().zip(head[..len].iter()) {
-                *t = h * cj;
-            }
-        }
-        let c0 = col[0];
-        for x in row[..len].iter_mut() {
-            *x *= c0;
-        }
-        len *= col.len();
-    }
-}
-
 /// Build the (centered) covariance tensor `C₁₂…ₘ = (1/N) Σ_n x₁ₙ ∘ x₂ₙ ∘ … ∘ xₘₙ` of a
 /// set of `d_p × N` views. Exposed mainly for tests and the benchmark harness; `Tcca`
 /// itself accumulates the whitened tensor directly.
 pub fn covariance_tensor(views: &[Matrix]) -> Result<DenseTensor> {
     check_views(views)?;
     let centered: Vec<Matrix> = views.iter().map(|v| center_rows(v).0).collect();
-    moment_tensor(&centered)
+    moment_tensor(&centered, None)
 }
 
 /// Build the whitened covariance tensor `M = C₁₂…ₘ ×₁ W₁ … ×ₘ Wₘ` given per-view
@@ -137,7 +94,7 @@ pub fn whitened_covariance_tensor(
     for (x, w) in centered_views.iter().zip(whiteners.iter()) {
         whitened.push(w.matmul(x)?);
     }
-    moment_tensor(&whitened)
+    moment_tensor(&whitened, None)
 }
 
 /// A fitted linear TCCA model.
@@ -478,6 +435,11 @@ fn check_views(views: &[Matrix]) -> Result<()> {
         if v.rows() == 0 {
             return Err(TccaError::InvalidInput(format!("view {p} has no features")));
         }
+        if v.as_slice().iter().any(|x| !x.is_finite()) {
+            return Err(TccaError::InvalidInput(format!(
+                "view {p} holds a NaN or infinite value"
+            )));
+        }
     }
     Ok(())
 }
@@ -507,6 +469,114 @@ mod tests {
             }
         }
         views
+    }
+
+    /// The tensor build as it stood before the Khatri–Rao packer: each chunk's
+    /// Khatri–Rao block is materialized row by row and handed to `t_matmul_acc`.
+    /// Kept only as the bit-identity reference for [`moment_tensor`].
+    fn moment_tensor_reference(views: &[Matrix]) -> DenseTensor {
+        let n = views[0].cols();
+        let shape: Vec<usize> = views.iter().map(|v| v.rows()).collect();
+        let d0 = shape[0];
+        let rest: usize = shape[1..].iter().product::<usize>().max(1);
+        let chunk = MOMENT_CHUNK.min(n.max(1));
+        let mut acc = Matrix::zeros(rest, d0);
+        let mut col_bufs: Vec<Vec<f64>> = shape[1..].iter().map(|&d| vec![0.0; d]).collect();
+        let mut kr_block = Matrix::zeros(chunk, rest);
+        let mut b_block = Matrix::zeros(chunk, d0);
+        for start in (0..n).step_by(chunk) {
+            let c = chunk.min(n - start);
+            for j in 0..c {
+                let sample = start + j;
+                for (i, b) in b_block.row_mut(j).iter_mut().enumerate() {
+                    *b = views[0][(i, sample)];
+                }
+                for (buf, v) in col_bufs.iter_mut().zip(views[1..].iter()) {
+                    for (i, x) in buf.iter_mut().enumerate() {
+                        *x = v[(i, sample)];
+                    }
+                }
+                kr_expand_row(kr_block.row_mut(j), &col_bufs);
+            }
+            for j in c..chunk {
+                kr_block.row_mut(j).fill(0.0);
+            }
+            kr_block.t_matmul_acc(&b_block, &mut acc).unwrap();
+        }
+        let weight = 1.0 / n.max(1) as f64;
+        let mut data = acc.into_vec();
+        for v in &mut data {
+            *v *= weight;
+        }
+        DenseTensor::from_vec(&shape, data).unwrap()
+    }
+
+    /// Fill `row` with the Khatri–Rao column `v_L ⊗ … ⊗ v_1`, first view's index
+    /// fastest, expanding in place from the back (reference helper).
+    fn kr_expand_row(row: &mut [f64], columns: &[Vec<f64>]) {
+        if columns.is_empty() {
+            if let Some(first) = row.first_mut() {
+                *first = 1.0;
+            }
+            return;
+        }
+        let mut len = columns[0].len();
+        row[..len].copy_from_slice(&columns[0]);
+        for col in &columns[1..] {
+            for j in (1..col.len()).rev() {
+                let cj = col[j];
+                let (head, tail) = row.split_at_mut(j * len);
+                for (t, &h) in tail[..len].iter_mut().zip(head[..len].iter()) {
+                    *t = h * cj;
+                }
+            }
+            let c0 = col[0];
+            for x in row[..len].iter_mut() {
+                *x *= c0;
+            }
+            len *= col.len();
+        }
+    }
+
+    fn gaussian_views(dims: &[usize], n: usize, seed: u64) -> Vec<Matrix> {
+        let mut rng = GaussianRng::new(seed);
+        dims.iter()
+            .map(|&d| {
+                let data = (0..d * n).map(|_| rng.standard_normal()).collect();
+                Matrix::from_vec(d, n, data).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn moment_tensor_is_bit_identical_to_the_materialized_reference() {
+        // Orders 2–4; dimensions below MR, odd, one above NR (two B panels) and
+        // Khatri–Rao heights above MC; N straddling the 64-sample block.
+        let shapes: [&[usize]; 6] = [
+            &[3, 2],
+            &[9, 7],
+            &[3, 5, 7],
+            &[9, 11, 13],
+            &[1, 3, 2, 5],
+            &[5, 3, 4, 7],
+        ];
+        for (s, dims) in shapes.iter().enumerate() {
+            for n in [1, 63, 64, 65, 300] {
+                let views = gaussian_views(dims, n, 40 + s as u64);
+                let want = moment_tensor_reference(&views);
+                for threads in [1, 4] {
+                    let got = moment_tensor(&views, Some(threads)).unwrap();
+                    assert_eq!(got.shape(), want.shape());
+                    for (e, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "dims {dims:?}, N = {n}, {threads} threads, element {e}: {g} vs {w}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -636,6 +706,17 @@ mod tests {
         assert!(model.transform_view(5, &views[0]).is_err());
         assert!(model.transform_view(0, &Matrix::zeros(99, 5)).is_err());
         assert!(model.component_correlation(&views, 7).is_err());
+    }
+
+    #[test]
+    fn non_finite_views_are_an_error_not_a_panic() {
+        let views = shared_signal_views(40, 13, 0.3);
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            let mut poisoned = views.clone();
+            poisoned[2][(1, 7)] = bad;
+            assert!(Tcca::fit(&poisoned, &TccaOptions::with_rank(2)).is_err());
+            assert!(covariance_tensor(&poisoned).is_err());
+        }
     }
 
     #[test]

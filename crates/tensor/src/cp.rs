@@ -25,6 +25,7 @@ use crate::{CpDecomposition, DenseTensor, RankRDecomposition, Result, TensorErro
 use linalg::{Matrix, SymmetricEigen};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 
 /// Options controlling the ALS iterations.
 #[derive(Debug, Clone)]
@@ -162,6 +163,11 @@ impl CpAls {
                 "CP decomposition needs an order >= 2 tensor, got order {order}"
             )));
         }
+        if tensor.as_slice().iter().any(|x| !x.is_finite()) {
+            return Err(TensorError::NonFinite(
+                "CP-ALS input tensor has a NaN or infinite entry".into(),
+            ));
+        }
         Ok(())
     }
 
@@ -253,13 +259,18 @@ impl CpAls {
             previous_fit = fit;
         }
 
+        if weights.iter().any(|w| !w.is_finite()) {
+            return Err(TensorError::NonFinite(format!(
+                "CP-ALS weights after {iterations} sweeps"
+            )));
+        }
         // Sort components by decreasing |weight| so truncation keeps the strongest.
         let mut order_idx: Vec<usize> = (0..rank).collect();
         order_idx.sort_by(|&a, &b| {
             weights[b]
                 .abs()
                 .partial_cmp(&weights[a].abs())
-                .expect("finite weights")
+                .unwrap_or(Ordering::Equal)
         });
         let sorted_weights: Vec<f64> = order_idx.iter().map(|&k| weights[k]).collect();
         let sorted_factors: Vec<Matrix> = factors
@@ -392,6 +403,27 @@ mod tests {
             ],
         };
         (t, truth)
+    }
+
+    #[test]
+    fn non_finite_tensors_are_an_error_not_a_panic() {
+        let mut t = DenseTensor::from_vec(&[2, 3, 2], (1..=12).map(f64::from).collect()).unwrap();
+        t.set(&[1, 2, 0], f64::NAN);
+        for hosvd_init in [true, false] {
+            let als = CpAls::new(CpOptions {
+                hosvd_init,
+                ..CpOptions::default()
+            });
+            assert!(matches!(
+                als.decompose_detailed(&t, 2),
+                Err(TensorError::NonFinite(_))
+            ));
+            let init: Vec<Matrix> = [2, 3, 2]
+                .iter()
+                .map(|&d| Matrix::filled(d, 2, 0.5))
+                .collect();
+            assert!(als.decompose_warm(&t, 2, &init).is_err());
+        }
     }
 
     #[test]

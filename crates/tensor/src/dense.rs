@@ -486,7 +486,25 @@ impl DenseTensor {
     /// Gram matrix of the mode-`n` unfolding, `G = T₍ₙ₎ T₍ₙ₎ᵀ` (`I_n × I_n`), computed
     /// by streaming the flat storage — the unfolding itself is never materialized.
     /// Used by the HOSVD-style initializations of CP-ALS and HOPM.
+    ///
+    /// The storage splits into slabs of `I_n` contiguous mode-`n` fibers (each
+    /// `Π_{k<n} I_k` long), and `G[i][j]` sums, slab by slab, the dot product of
+    /// fibers `i` and `j`, each dot summed in ascending index order. For mode 0 the
+    /// fibers are single values, so each slab adds `x_i · x[i..]` along row `i` of
+    /// `G` as one vectorizable axpy; for the other modes each row computes
+    /// eight independent dot products at a time. Rows of the upper
+    /// triangle are split across threads; neither the loop order nor the split
+    /// changes any element's summation order, so the result is bit-identical for
+    /// every thread count.
     pub fn mode_gram(&self, mode: usize) -> Result<Matrix> {
+        let d = self.shape.get(mode).copied().unwrap_or(0);
+        let flops = self.data.len().saturating_mul(d);
+        self.mode_gram_with_threads(mode, parallel::threads_for_work(flops))
+    }
+
+    /// [`DenseTensor::mode_gram`] with an explicit thread count. The result is
+    /// bit-identical for every `threads >= 1`.
+    pub fn mode_gram_with_threads(&self, mode: usize, threads: usize) -> Result<Matrix> {
         if mode >= self.order() {
             return Err(TensorError::InvalidMode {
                 mode,
@@ -495,23 +513,34 @@ impl DenseTensor {
         }
         let d = self.shape[mode];
         let inner = self.strides[mode];
-        let slab = inner * d;
-        let outer = self.data.len().checked_div(slab).unwrap_or(0);
         let mut g = Matrix::zeros(d, d);
-        for o in 0..outer {
-            let base = o * slab;
-            for i in 0..d {
-                let a = &self.data[base + i * inner..base + (i + 1) * inner];
-                for j in i..d {
-                    let b = &self.data[base + j * inner..base + (j + 1) * inner];
-                    let mut acc = 0.0;
-                    for (x, y) in a.iter().zip(b.iter()) {
-                        acc += x * y;
-                    }
-                    g[(i, j)] += acc;
-                }
+        if self.data.is_empty() {
+            return Ok(g);
+        }
+        // One band of rows per thread, cut so each holds an equal share of the
+        // upper triangle (row i has d − i entries).
+        let threads = threads.clamp(1, d);
+        let total = d * (d + 1) / 2;
+        let mut bands: Vec<(usize, &mut [f64])> = Vec::with_capacity(threads);
+        let mut rest = g.as_mut_slice();
+        let (mut row, mut done) = (0, 0);
+        for t in 1..=threads {
+            let target = total * t / threads;
+            let start = row;
+            while row < d && done < target {
+                done += d - row;
+                row += 1;
+            }
+            let (band, tail) = std::mem::take(&mut rest).split_at_mut((row - start) * d);
+            rest = tail;
+            if !band.is_empty() {
+                bands.push((start, band));
             }
         }
+        parallel::for_each_chunk_mut(&mut bands, 1, threads, |_, band| {
+            let (row0, rows) = &mut band[0];
+            mode_gram_rows(&self.data, d, inner, *row0, rows);
+        });
         for i in 0..d {
             for j in 0..i {
                 g[(i, j)] = g[(j, i)];
@@ -739,6 +768,56 @@ fn mttkrp_rows(
     }
 }
 
+/// Independent running dot products per row step of the mode-`n` Gram kernel:
+/// enough separate add chains to hide the floating-point add latency.
+const GRAM_LANES: usize = 8;
+
+/// Upper-triangle entries of Gram rows `row0..row0 + rows.len() / d` (see
+/// [`DenseTensor::mode_gram`]): every slab of `d` fibers of length `inner` adds
+/// each fiber pair's dot product onto `G[i][j]`, `j ≥ i`.
+fn mode_gram_rows(data: &[f64], d: usize, inner: usize, row0: usize, rows: &mut [f64]) {
+    let row1 = row0 + rows.len() / d;
+    for slab in data.chunks_exact(d * inner) {
+        for (i, g) in (row0..row1).zip(rows.chunks_exact_mut(d)) {
+            if inner == 1 {
+                // Single-value fibers: one axpy of x_i · x[i..] along the row.
+                let xi = slab[i];
+                for (gv, &xj) in g[i..].iter_mut().zip(&slab[i..]) {
+                    *gv += xi * xj;
+                }
+                continue;
+            }
+            let a = &slab[i * inner..(i + 1) * inner];
+            let mut j = i;
+            while j + GRAM_LANES <= d {
+                let dots = fiber_dots::<GRAM_LANES>(a, &slab[j * inner..(j + GRAM_LANES) * inner]);
+                for (gv, dot) in g[j..j + GRAM_LANES].iter_mut().zip(dots) {
+                    *gv += dot;
+                }
+                j += GRAM_LANES;
+            }
+            for j in j..d {
+                g[j] += fiber_dots::<1>(a, &slab[j * inner..(j + 1) * inner])[0];
+            }
+        }
+    }
+}
+
+/// Dot products of `a` with each of the `L` consecutive fibers in `b` (each
+/// `a.len()` long), every one summed in ascending index order from zero.
+#[inline(always)]
+fn fiber_dots<const L: usize>(a: &[f64], b: &[f64]) -> [f64; L] {
+    let n = a.len();
+    let fibers: [&[f64]; L] = std::array::from_fn(|l| &b[l * n..(l + 1) * n]);
+    let mut acc = [0.0; L];
+    for (t, &x) in a.iter().enumerate() {
+        for (s, f) in acc.iter_mut().zip(&fibers) {
+            *s += x * f[t];
+        }
+    }
+    acc
+}
+
 fn compute_strides(shape: &[usize]) -> Vec<usize> {
     let mut strides = vec![1usize; shape.len()];
     for k in 1..shape.len() {
@@ -754,6 +833,72 @@ mod tests {
     fn example_3d() -> DenseTensor {
         // Shape 2x3x2, filled with 1..=12 in storage order (first index fastest).
         DenseTensor::from_vec(&[2, 3, 2], (1..=12).map(|v| v as f64).collect()).unwrap()
+    }
+
+    /// The scalar mode-`n` Gram as it stood before the lane/axpy kernels: one
+    /// running dot per `(i, j)` pair, slab by slab. Kept only as the bit-identity
+    /// reference for [`DenseTensor::mode_gram`].
+    fn mode_gram_reference(t: &DenseTensor, mode: usize) -> Matrix {
+        let d = t.shape[mode];
+        let inner = t.strides[mode];
+        let slab = inner * d;
+        let outer = t.data.len().checked_div(slab).unwrap_or(0);
+        let mut g = Matrix::zeros(d, d);
+        for o in 0..outer {
+            let base = o * slab;
+            for i in 0..d {
+                let a = &t.data[base + i * inner..base + (i + 1) * inner];
+                for j in i..d {
+                    let b = &t.data[base + j * inner..base + (j + 1) * inner];
+                    let mut acc = 0.0;
+                    for (x, y) in a.iter().zip(b.iter()) {
+                        acc += x * y;
+                    }
+                    g[(i, j)] += acc;
+                }
+            }
+        }
+        for i in 0..d {
+            for j in 0..i {
+                g[(i, j)] = g[(j, i)];
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn mode_gram_is_bit_identical_to_the_scalar_reference() {
+        // Orders 2–4, dimensions below and around the 8 dot lanes, odd sizes and a
+        // unit mode (whose neighbour then has single-value fibers).
+        let shapes: [&[usize]; 6] = [
+            &[7, 5],
+            &[3, 17],
+            &[9, 8, 11],
+            &[1, 13, 3],
+            &[17, 3, 9],
+            &[5, 2, 3, 10],
+        ];
+        for (s, shape) in shapes.iter().enumerate() {
+            let len: usize = shape.iter().product();
+            let data = (0..len)
+                .map(|e| ((e as f64) * 0.731 + s as f64).sin() * (1.0 + (e % 7) as f64))
+                .collect();
+            let t = DenseTensor::from_vec(shape, data).unwrap();
+            for mode in 0..shape.len() {
+                let want = mode_gram_reference(&t, mode);
+                for threads in [1, 4] {
+                    let got = t.mode_gram_with_threads(mode, threads).unwrap();
+                    assert_eq!(got.shape(), want.shape());
+                    for (e, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "shape {shape:?}, mode {mode}, {threads} threads, entry {e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

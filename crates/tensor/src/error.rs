@@ -23,6 +23,8 @@ pub enum TensorError {
     InvalidArgument(String),
     /// An underlying linear-algebra routine failed.
     Linalg(linalg::LinalgError),
+    /// The input tensor, or a decomposition's result, holds NaN or infinite values.
+    NonFinite(String),
 }
 
 impl fmt::Display for TensorError {
@@ -36,6 +38,7 @@ impl fmt::Display for TensorError {
             }
             TensorError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
             TensorError::Linalg(err) => write!(f, "linear algebra failure: {err}"),
+            TensorError::NonFinite(what) => write!(f, "non-finite values: {what}"),
         }
     }
 }
