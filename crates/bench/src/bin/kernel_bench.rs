@@ -213,6 +213,31 @@ fn checksum_suite() -> Vec<(String, u64)> {
             t.mttkrp(mode, &refs).unwrap().as_slice(),
         );
     }
+    // MTTKRP through the GEMM engine: d₀ and the 480 fibres both exceed one
+    // k-block, and r is not a multiple of the tile width.
+    let t_deep = random_tensor(&[300, 24, 20], 25);
+    let factors_deep: Vec<Matrix> = [300, 24, 20]
+        .iter()
+        .enumerate()
+        .map(|(p, &d)| random_matrix(d, 20, 26 + p as u64))
+        .collect();
+    let refs_deep: Vec<&Matrix> = factors_deep.iter().collect();
+    for mode in 0..3 {
+        push(
+            format!("mttkrp/300x24x20/r20/mode{mode}"),
+            t_deep.mttkrp(mode, &refs_deep).unwrap().as_slice(),
+        );
+    }
+    // A full CP-ALS run (HOSVD init and every sweep), which pins the mode-0
+    // partial product that the later modes of a sweep share.
+    let t_cp = random_tensor(&[24, 20, 18], 29);
+    let (cp, sweeps, rel_err) = CpAls::default().decompose_detailed(&t_cp, 5).unwrap();
+    let mut cp_bits = cp.weights.clone();
+    for f in &cp.factors {
+        cp_bits.extend_from_slice(f.as_slice());
+    }
+    cp_bits.extend([sweeps as f64, rel_err]);
+    push("cp_als/24x20x18/r5".to_string(), &cp_bits);
     let u = random_matrix(16, 32, 22);
     push(
         "mode_product/32x32x32/mode1".to_string(),
@@ -243,6 +268,16 @@ fn checksum_suite() -> Vec<(String, u64)> {
     let mut combined = eig.eigenvalues.clone();
     combined.extend_from_slice(eig.eigenvectors.as_slice());
     push("randomized_whiten/600x512/k32".to_string(), &combined);
+
+    // Exact whitening at the ads view width: the Jacobi eigensolver and the
+    // spectral reconstruction.
+    let x = random_matrix(147, 400, 30);
+    let mut cov = x.syrk().scale(1.0 / 400.0);
+    cov.add_diagonal(1e-2);
+    push(
+        "inverse_sqrt_spd/147".to_string(),
+        cov.inverse_sqrt_spd(1e-12).unwrap().as_slice(),
+    );
 
     out
 }

@@ -352,26 +352,32 @@ where
         .enumerate()
         .map(|(mi, name)| {
             let (m, s) = mean_std(&best_acc[mi]);
-            // Most frequently selected dimension.
-            let mut counts = std::collections::HashMap::new();
-            for &d in &best_dims[mi] {
-                *counts.entry(d).or_insert(0usize) += 1;
-            }
-            let typical_dim = counts
-                .into_iter()
-                .max_by_key(|&(_, c)| c)
-                .map(|(d, _)| d)
-                .unwrap_or(config.dims[0]);
             BestSummary {
                 method: name.clone(),
                 mean_accuracy: m,
                 std_accuracy: s,
-                typical_dim,
+                typical_dim: most_frequent_dim(&best_dims[mi]).unwrap_or(config.dims[0]),
             }
         })
         .collect();
 
     ExperimentResult { curves, best }
+}
+
+/// The most frequently selected dimension, the smallest on a tie, so the table
+/// reads the same on every run.
+fn most_frequent_dim(dims: &[usize]) -> Option<usize> {
+    let mut counts = std::collections::BTreeMap::new();
+    for &d in dims {
+        *counts.entry(d).or_insert(0usize) += 1;
+    }
+    // `max_by_key` keeps the last maximum; iterating from the largest `d` down
+    // makes that the smallest one.
+    counts
+        .into_iter()
+        .rev()
+        .max_by_key(|&(_, c)| c)
+        .map(|(d, _)| d)
 }
 
 /// Evaluate one method output under the protocol: returns (validation, test) accuracy.
@@ -570,6 +576,15 @@ mod tests {
             tcca_iterations: 8,
             ..ExperimentConfig::default()
         }
+    }
+
+    #[test]
+    fn most_frequent_dim_breaks_ties_toward_the_smallest() {
+        assert_eq!(most_frequent_dim(&[]), None);
+        assert_eq!(most_frequent_dim(&[40, 5]), Some(5));
+        assert_eq!(most_frequent_dim(&[80, 20, 10, 40]), Some(10));
+        assert_eq!(most_frequent_dim(&[40, 5, 40, 10, 5, 40]), Some(40));
+        assert_eq!(most_frequent_dim(&[20, 10, 20, 10]), Some(10));
     }
 
     #[test]

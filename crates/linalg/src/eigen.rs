@@ -54,7 +54,9 @@ impl SymmetricEigen {
         }
         let mut a = matrix.clone();
         a.symmetrize();
-        let mut v = Matrix::identity(n);
+        // The eigenvector accumulator, kept transposed: row k is eigenvector k, so
+        // each rotation updates two contiguous rows.
+        let mut vt = Matrix::identity(n);
 
         let tol = 1e-14 * a.frobenius_norm().max(1e-300);
         let mut converged = false;
@@ -70,20 +72,9 @@ impl SymmetricEigen {
                     if apq.abs() <= tol / (n as f64) {
                         continue;
                     }
-                    let app = a[(p, p)];
-                    let aqq = a[(q, q)];
-                    // Compute the Jacobi rotation that zeroes a[(p, q)].
-                    let theta = (aqq - app) / (2.0 * apq);
-                    let t = if theta >= 0.0 {
-                        1.0 / (theta + (1.0 + theta * theta).sqrt())
-                    } else {
-                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-
+                    let (c, s) = jacobi_rotation(a[(p, p)], a[(q, q)], apq);
                     apply_rotation(&mut a, p, q, c, s);
-                    rotate_columns(&mut v, p, q, c, s);
+                    rotate_rows(&mut vt, p, q, c, s);
                 }
             }
         }
@@ -104,7 +95,7 @@ impl SymmetricEigen {
         order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).unwrap_or(Ordering::Equal));
 
         let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-        let eigenvectors = v.select_columns(&order);
+        let eigenvectors = vt.select_rows(&order).transpose();
         Ok(Self {
             eigenvalues,
             eigenvectors,
@@ -180,6 +171,18 @@ fn off_diagonal_norm(a: &Matrix) -> f64 {
     sum.sqrt()
 }
 
+/// The cosine and sine of the Jacobi rotation that zeroes `a[(p, q)]`.
+fn jacobi_rotation(app: f64, aqq: f64, apq: f64) -> (f64, f64) {
+    let theta = (aqq - app) / (2.0 * apq);
+    let t = if theta >= 0.0 {
+        1.0 / (theta + (1.0 + theta * theta).sqrt())
+    } else {
+        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
+    };
+    let c = 1.0 / (1.0 + t * t).sqrt();
+    (c, t * c)
+}
+
 /// Apply the two-sided Jacobi rotation `JᵀAJ` where `J` rotates the (p, q) plane.
 fn apply_rotation(a: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
     let n = a.rows();
@@ -197,14 +200,18 @@ fn apply_rotation(a: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
     }
 }
 
-/// Apply the rotation to the eigenvector accumulator (columns p and q).
-fn rotate_columns(v: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
-    let n = v.rows();
-    for k in 0..n {
-        let vkp = v[(k, p)];
-        let vkq = v[(k, q)];
-        v[(k, p)] = c * vkp - s * vkq;
-        v[(k, q)] = s * vkp + c * vkq;
+/// Apply the rotation to the transposed eigenvector accumulator (rows p and q):
+/// the same two products and one add or subtract per element as rotating
+/// columns p and q of `V`, over contiguous memory.
+fn rotate_rows(vt: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
+    let n = vt.cols();
+    let (head, tail) = vt.as_mut_slice().split_at_mut(q * n);
+    let row_p = &mut head[p * n..(p + 1) * n];
+    let row_q = &mut tail[..n];
+    for (vp, vq) in row_p.iter_mut().zip(row_q.iter_mut()) {
+        let (vkp, vkq) = (*vp, *vq);
+        *vp = c * vkp - s * vkq;
+        *vq = s * vkp + c * vkq;
     }
 }
 
@@ -214,6 +221,79 @@ mod tests {
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
+    }
+
+    /// The Jacobi sweep loop as it stood before the accumulator was kept
+    /// transposed: rotations update columns p and q of `V` with stride-n access.
+    /// Kept only as the bit-identity reference for [`SymmetricEigen::new`].
+    fn eigen_reference(matrix: &Matrix) -> (Vec<f64>, Matrix) {
+        let n = matrix.rows();
+        let mut a = matrix.clone();
+        a.symmetrize();
+        let mut v = Matrix::identity(n);
+        let tol = 1e-14 * a.frobenius_norm().max(1e-300);
+        for _ in 0..100 {
+            if off_diagonal_norm(&a) <= tol {
+                break;
+            }
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let apq = a[(p, q)];
+                    if apq.abs() <= tol / (n as f64) {
+                        continue;
+                    }
+                    let (c, s) = jacobi_rotation(a[(p, p)], a[(q, q)], apq);
+                    apply_rotation(&mut a, p, q, c, s);
+                    for k in 0..n {
+                        let vkp = v[(k, p)];
+                        let vkq = v[(k, q)];
+                        v[(k, p)] = c * vkp - s * vkq;
+                        v[(k, q)] = s * vkp + c * vkq;
+                    }
+                }
+            }
+        }
+        let diag: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).unwrap_or(Ordering::Equal));
+        let values = order.iter().map(|&i| diag[i]).collect();
+        (values, v.select_columns(&order))
+    }
+
+    #[test]
+    fn transposed_accumulator_is_bit_identical_to_the_column_loop() {
+        for n in [1usize, 2, 3, 17, 64, 147] {
+            // A covariance-like SPD matrix with a spread spectrum.
+            let x = Matrix::from_vec(
+                n,
+                2 * n + 3,
+                (0..n * (2 * n + 3))
+                    .map(|e| ((e * e % 1009) as f64 * 0.618 + n as f64).sin())
+                    .collect(),
+            )
+            .unwrap();
+            let mut m = x.syrk();
+            m.add_diagonal(1e-3);
+            let eig = SymmetricEigen::new(&m).unwrap();
+            let (values, vectors) = eigen_reference(&m);
+            assert_eq!(eig.eigenvectors.shape(), vectors.shape());
+            for (got, want) in eig.eigenvalues.iter().zip(&values) {
+                assert_eq!(got.to_bits(), want.to_bits(), "n = {n}: eigenvalue");
+            }
+            for (e, (got, want)) in eig
+                .eigenvectors
+                .as_slice()
+                .iter()
+                .zip(vectors.as_slice())
+                .enumerate()
+            {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "n = {n}: eigenvector entry {e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! All of `matmul`, `t_matmul`, `matmul_t`, `t_matmul_acc`,
 //! `khatri_rao_t_matmul_acc`, `syrk`/`syrk_t` (and through them `gram`,
-//! covariance/whitening, the covariance-tensor build, PCA and the CP-ALS solvers)
-//! funnel into `gemm`, a single BLIS-style driver:
+//! covariance/whitening, the covariance-tensor build, PCA and the CP-ALS solvers),
+//! plus the sequential-reduction tensor products behind the MTTKRP, funnel into
+//! one BLIS-style driver:
 //!
 //! * the reduction dimension is split into blocks of [`KC`] values;
 //! * panels of `B` ([`KC`]`×NRV`) are **packed once per k-block** into a shared
@@ -89,8 +90,28 @@
 //! replicas of one logical request disagree bit-wise mid-flight). Requesting FMA on
 //! a host without AVX2+FMA silently resolves to strict — the fallback must never
 //! masquerade as the FMA baseline.
+//!
+//! ## Reduction schedules
+//!
+//! The driver splits each output element's reduction in one of two ways:
+//!
+//! * **Blocked** (every public product: `matmul`, `t_matmul`, `syrk`, the
+//!   covariance-tensor build, the serving projections): each k-block's tile
+//!   starts from zero accumulators and its partial sum is *added* onto C, so an
+//!   element is `c + (Σ block₀) + (Σ block₁) + …`. Its bits depend on [`KC`],
+//!   never on the thread count or tile width, and it runs in the process
+//!   [`KernelMode`].
+//! * **Sequential** (the tensor kernels that must reproduce a scalar loop's
+//!   bits: [`MatrixView::matmul_sequential`](crate::MatrixView::matmul_sequential)
+//!   and [`MatrixView::t_matmul_khatri_rao_sequential`](crate::MatrixView::t_matmul_khatri_rao_sequential),
+//!   which carry the CP-ALS MTTKRP): each k-block's tile *loads* its
+//!   accumulators from C and stores them back, so an element is the single left
+//!   fold `((c + a₀b₀) + a₁b₁) + …` over all of `k`, for any `KC`, thread count
+//!   or tile width. It always runs strict, whatever the process mode: a fused
+//!   multiply-add would change the bits of the loop it reproduces, and those
+//!   kernels then keep one checksum in both baselines.
 
-use crate::Matrix;
+use crate::{Matrix, MatrixView};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -262,6 +283,20 @@ pub(crate) enum ASource<'a, E> {
     },
 }
 
+/// How the driver splits each output element's reduction (see the module docs).
+/// The sequential schedule has no FMA variant: it exists to reproduce the bits
+/// of a scalar multiply-then-add loop.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    /// Strict arithmetic, one partial sum per k-block added onto C.
+    Blocked,
+    /// [`Schedule::Blocked`] with every `a·b + acc` contracted to one FMA.
+    BlockedFma,
+    /// Strict arithmetic, accumulators loaded from C at each k-block and stored
+    /// back: one left fold over the whole reduction.
+    Sequential,
+}
+
 /// One reduction step of an `MR×NRV` tile: `acc[i][j] (+)= a[i] · b[j]`, where
 /// `(+)` is a separate multiply-and-add in strict mode (`FMA = false`) and a
 /// fused contraction in FMA mode. Fixed-size array inputs keep the body free of
@@ -409,13 +444,65 @@ pub(crate) fn gemm_slice_mode<E: Element>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // Skinny-tile dispatch: when the whole output fits in half the widest tile,
-    // instantiate NR/2-wide tiles instead of padding. Never affects bits — each
-    // element's reduction order is a function of k alone.
-    if n <= NR_SKINNY {
-        gemm_driver::<E, NR_SKINNY>(m, n, k, out, threads, upper_only, fma, a, pack_b);
+    let schedule = if fma {
+        Schedule::BlockedFma
     } else {
-        gemm_driver::<E, NR>(m, n, k, out, threads, upper_only, fma, a, pack_b);
+        Schedule::Blocked
+    };
+    dispatch_width(m, n, k, out, threads, upper_only, schedule, a, pack_b);
+}
+
+/// `out[m×n] += Aᵒᵖ[m×k] · Bᵒᵖ[k×n]` under the [`Schedule::Sequential`]
+/// reduction: every output element is the strict left fold
+/// `((c + a₀b₀) + a₁b₁) + …` over the whole of `k`, whatever the thread count,
+/// tile width or process [`KernelMode`]. The entry point for callers that must
+/// reproduce a scalar loop's bits (the MTTKRP kernels).
+pub(crate) fn gemm_sequential(
+    m: usize,
+    n: usize,
+    k: usize,
+    out: &mut Matrix,
+    threads: usize,
+    a: ASource<'_, f64>,
+    pack_b: Pack<'_, f64>,
+) {
+    debug_assert_eq!(out.shape(), (m, n));
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let out = out.as_mut_slice();
+    dispatch_width(
+        m,
+        n,
+        k,
+        out,
+        threads,
+        false,
+        Schedule::Sequential,
+        a,
+        pack_b,
+    );
+}
+
+/// Skinny-tile dispatch: when the whole output fits in half the widest tile,
+/// instantiate NR/2-wide tiles instead of padding. Never affects bits — each
+/// element's reduction order is a function of k alone.
+#[allow(clippy::too_many_arguments)]
+fn dispatch_width<E: Element>(
+    m: usize,
+    n: usize,
+    k: usize,
+    out: &mut [E],
+    threads: usize,
+    upper_only: bool,
+    schedule: Schedule,
+    a: ASource<'_, E>,
+    pack_b: Pack<'_, E>,
+) {
+    if n <= NR_SKINNY {
+        gemm_driver::<E, NR_SKINNY>(m, n, k, out, threads, upper_only, schedule, a, pack_b);
+    } else {
+        gemm_driver::<E, NR>(m, n, k, out, threads, upper_only, schedule, a, pack_b);
     }
 }
 
@@ -432,7 +519,7 @@ fn gemm_driver<E: Element, const NRV: usize>(
     out: &mut [E],
     threads: usize,
     upper_only: bool,
-    fma: bool,
+    schedule: Schedule,
     a: ASource<'_, E>,
     pack_b: Pack<'_, E>,
 ) {
@@ -487,7 +574,7 @@ fn gemm_driver<E: Element, const NRV: usize>(
                 let p0 = sb_p0 + bi * KC;
                 let kc = KC.min(k - p0);
                 band_kblock::<E, NRV>(
-                    fma,
+                    schedule,
                     band * band_rows,
                     chunk,
                     n,
@@ -509,11 +596,12 @@ fn gemm_driver<E: Element, const NRV: usize>(
 /// `jp * NRV * KC.min(k)`). Dispatches once to the widest SIMD build of the loop
 /// the host supports; every strict build runs the identical accumulation schedule
 /// (vector lanes are independent output elements), so the strict dispatch never
-/// affects a single bit. The FMA build is only reachable when the process mode
-/// resolved to [`KernelMode::Fma`] (which implies AVX2+FMA hardware).
+/// affects a single bit. The FMA build is only reachable under
+/// `Schedule::BlockedFma`, chosen only when the process mode resolved to
+/// [`KernelMode::Fma`] (which implies AVX2+FMA hardware).
 #[allow(clippy::too_many_arguments)]
 fn band_kblock<E: Element, const NRV: usize>(
-    fma: bool,
+    schedule: Schedule,
     band_i0: usize,
     c: &mut [E],
     n: usize,
@@ -524,35 +612,36 @@ fn band_kblock<E: Element, const NRV: usize>(
     bp: &[E],
     ap: &mut [E],
 ) {
+    let seq = schedule == Schedule::Sequential;
     #[cfg(target_arch = "x86_64")]
     {
         static HAS_AVX512: OnceLock<bool> = OnceLock::new();
         static HAS_AVX2: OnceLock<bool> = OnceLock::new();
-        if fma {
-            // SAFETY: `fma == true` only after `clamp_to_host` (or the unit tests)
-            // verified AVX2+FMA at runtime.
+        if schedule == Schedule::BlockedFma {
+            // SAFETY: `BlockedFma` is only selected after `clamp_to_host` (or the
+            // unit tests) verified AVX2+FMA at runtime.
             unsafe {
-                band_kblock_fma::<E, NRV>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+                band_kblock_fma::<E, NRV>(band_i0, c, n, p0, kc, upper_only, false, a, bp, ap);
             }
             return;
         }
         if *HAS_AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f")) {
             // SAFETY: AVX-512F support was verified at runtime just above.
             unsafe {
-                band_kblock_avx512::<E, NRV>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+                band_kblock_avx512::<E, NRV>(band_i0, c, n, p0, kc, upper_only, seq, a, bp, ap);
             }
             return;
         }
         if *HAS_AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2")) {
             // SAFETY: AVX2 support was verified at runtime just above.
             unsafe {
-                band_kblock_avx2::<E, NRV>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+                band_kblock_avx2::<E, NRV>(band_i0, c, n, p0, kc, upper_only, seq, a, bp, ap);
             }
             return;
         }
     }
-    let _ = fma; // non-x86 hosts always resolve to the strict scalar build
-    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+    // Non-x86 hosts always resolve to the strict scalar build.
+    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, seq, a, bp, ap);
 }
 
 /// The band loop recompiled with 256-bit vectors enabled: the `inline(always)`
@@ -569,11 +658,12 @@ unsafe fn band_kblock_avx2<E: Element, const NRV: usize>(
     p0: usize,
     kc: usize,
     upper_only: bool,
+    sequential: bool,
     a: ASource<'_, E>,
     bp: &[E],
     ap: &mut [E],
 ) {
-    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, sequential, a, bp, ap);
 }
 
 /// The band loop recompiled with 512-bit vectors enabled: an `NR = 8` f64 tile
@@ -594,11 +684,12 @@ unsafe fn band_kblock_avx512<E: Element, const NRV: usize>(
     p0: usize,
     kc: usize,
     upper_only: bool,
+    sequential: bool,
     a: ASource<'_, E>,
     bp: &[E],
     ap: &mut [E],
 ) {
-    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, sequential, a, bp, ap);
 }
 
 /// The band loop recompiled with AVX2 **and** FMA enabled, instantiating the
@@ -614,11 +705,12 @@ unsafe fn band_kblock_fma<E: Element, const NRV: usize>(
     p0: usize,
     kc: usize,
     upper_only: bool,
+    sequential: bool,
     a: ASource<'_, E>,
     bp: &[E],
     ap: &mut [E],
 ) {
-    band_kblock_impl::<E, NRV, true>(band_i0, c, n, p0, kc, upper_only, a, bp, ap);
+    band_kblock_impl::<E, NRV, true>(band_i0, c, n, p0, kc, upper_only, sequential, a, bp, ap);
 }
 
 #[inline(always)]
@@ -630,6 +722,7 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
     p0: usize,
     kc: usize,
     upper_only: bool,
+    sequential: bool,
     a: ASource<'_, E>,
     bp: &[E],
     ap: &mut [E],
@@ -692,6 +785,14 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                     prefetch(&c[base..base + nv]);
                 }
                 let mut acc = [[E::ZERO; NRV]; MR];
+                if sequential {
+                    // Carry each element's running sum in from C, so the tile
+                    // continues the fold where the previous k-block left it.
+                    for (ii, acc_row) in acc.iter_mut().enumerate().take(mv) {
+                        let base = (row0 + ii) * n + j0;
+                        acc_row[..nv].copy_from_slice(&c[base..base + nv]);
+                    }
+                }
                 match a {
                     ASource::Strided { data, stride, .. } if mv == MR => {
                         let first = band_i0 + row0;
@@ -713,8 +814,12 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                 for (ii, acc_row) in acc.iter().enumerate().take(mv) {
                     let base = (row0 + ii) * n + j0;
                     let row = &mut c[base..base + nv];
-                    for (o, v) in row.iter_mut().zip(acc_row[..nv].iter()) {
-                        *o = *o + *v;
+                    if sequential {
+                        row.copy_from_slice(&acc_row[..nv]);
+                    } else {
+                        for (o, v) in row.iter_mut().zip(acc_row[..nv].iter()) {
+                            *o = *o + *v;
+                        }
                     }
                 }
             }
@@ -747,7 +852,10 @@ fn prefetch<E>(row: &[E]) {
 
 /// Pack lanes of `A` itself (`lane i`, `step p` → `a[i][p]`): the `C = A·B` and
 /// `C = A·Bᵀ` left operand.
-pub(crate) fn pack_rows(a: &Matrix) -> impl Fn(&mut [f64], usize, usize, usize, usize) + Sync + '_ {
+pub(crate) fn pack_rows<'a>(
+    a: impl Into<MatrixView<'a>>,
+) -> impl Fn(&mut [f64], usize, usize, usize, usize) + Sync + 'a {
+    let a = a.into();
     move |dst, i0, valid, p0, kc| {
         if valid < MR {
             dst.fill(0.0);
@@ -763,7 +871,10 @@ pub(crate) fn pack_rows(a: &Matrix) -> impl Fn(&mut [f64], usize, usize, usize, 
 
 /// Pack lanes of `Aᵀ` (`lane i`, `step p` → `a[p][i]`): the `C = Aᵀ·B` left
 /// operand. Reads stream along the rows of `a`.
-pub(crate) fn pack_cols(a: &Matrix) -> impl Fn(&mut [f64], usize, usize, usize, usize) + Sync + '_ {
+pub(crate) fn pack_cols<'a>(
+    a: impl Into<MatrixView<'a>>,
+) -> impl Fn(&mut [f64], usize, usize, usize, usize) + Sync + 'a {
+    let a = a.into();
     move |dst, i0, valid, p0, kc| {
         if valid < MR {
             dst.fill(0.0);
@@ -830,6 +941,49 @@ pub(crate) fn pack_panel_rows(
         for p in 0..kc {
             let seg = &b.row(p0 + p)[j0..j0 + valid];
             dst[p * w..p * w + valid].copy_from_slice(seg);
+        }
+    }
+}
+
+/// Pack row panels of a Khatri–Rao operand whose reduction steps are its rows:
+/// step `f = i_1 + d_1·(i_2 + d_2·(…))`, lane `j` is `f_1[i_1][j] · f_2[i_2][j] · …`,
+/// multiplied left to right (the CP-ALS weight of storage fibre `f`). The
+/// `C = Aᵀ·K` right operand of
+/// [`MatrixView::t_matmul_khatri_rao_sequential`](crate::MatrixView::t_matmul_khatri_rao_sequential);
+/// lane width from the destination. `factors` must be non-empty.
+pub(crate) fn pack_panel_khatri_rao<'a>(
+    factors: &'a [&'a Matrix],
+) -> impl Fn(&mut [f64], usize, usize, usize, usize) + Sync + 'a {
+    move |dst, j0, valid, p0, kc| {
+        let w = dst.len() / kc;
+        if valid < w {
+            dst.fill(0.0);
+        }
+        let (first, others) = factors.split_first().expect("at least one factor");
+        // Multi-index of step p0, then advanced odometer-style per step.
+        let mut idx: Vec<usize> = factors
+            .iter()
+            .scan(p0, |rest, f| {
+                let i = *rest % f.rows();
+                *rest /= f.rows();
+                Some(i)
+            })
+            .collect();
+        for lane in dst.chunks_exact_mut(w).take(kc) {
+            let lane = &mut lane[..valid];
+            lane.copy_from_slice(&first.row(idx[0])[j0..j0 + valid]);
+            for (f, &i) in others.iter().zip(&idx[1..]) {
+                for (v, &x) in lane.iter_mut().zip(&f.row(i)[j0..j0 + valid]) {
+                    *v *= x;
+                }
+            }
+            for (i, f) in idx.iter_mut().zip(factors) {
+                *i += 1;
+                if *i < f.rows() {
+                    break;
+                }
+                *i = 0;
+            }
         }
     }
 }
@@ -1079,6 +1233,66 @@ mod tests {
                 (f64::from(got) - want).abs() <= tol * want.abs().max(1.0),
                 "element {i}: f32 {got} vs f64 {want}"
             );
+        }
+    }
+
+    #[test]
+    fn sequential_schedule_is_the_left_fold_for_any_depth_width_and_thread_count() {
+        // m is not a multiple of MR and spans several bands and MC blocks; k runs
+        // from one step to several k-blocks; n covers the skinny and wide tiles.
+        let m = 2 * MC + 3;
+        for k in [1, KC - 1, KC, KC + 1, 3 * KC + 5] {
+            let a = sample(m, k, 0.3);
+            let at = a.transpose();
+            for n in [1, 4, 8, 20] {
+                let b = sample(k, n, 0.7);
+                let c0 = sample(m, n, 0.1);
+                let mut want = c0.clone();
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = c0[(i, j)];
+                        for p in 0..k {
+                            acc += a[(i, p)] * b[(p, j)];
+                        }
+                        want[(i, j)] = acc;
+                    }
+                }
+                for threads in [1, 4] {
+                    let mut packed = c0.clone();
+                    gemm_sequential(
+                        m,
+                        n,
+                        k,
+                        &mut packed,
+                        threads,
+                        ASource::Packed(&pack_rows(&a)),
+                        &pack_panel_rows(&b),
+                    );
+                    let mut strided = c0.clone();
+                    gemm_sequential(
+                        m,
+                        n,
+                        k,
+                        &mut strided,
+                        threads,
+                        ASource::Strided {
+                            data: at.as_slice(),
+                            stride: m,
+                            pack: &pack_cols(&at),
+                        },
+                        &pack_panel_rows(&b),
+                    );
+                    for (path, got) in [("packed", &packed), ("strided", &strided)] {
+                        for (e, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "{path} k={k} n={n} threads={threads} entry {e}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -15,7 +15,7 @@
 //! property tests and for tuning; the plain methods pick it from the flop count and
 //! the `TCCA_NUM_THREADS` override.
 
-use crate::{gemm, LinalgError, Matrix, Result};
+use crate::{gemm, LinalgError, Matrix, MatrixView, Result};
 use std::ops::Range;
 
 /// Edge length of the tiles used by the blocked transpose: 32×32 f64 tiles (8 KiB for
@@ -453,6 +453,74 @@ impl Matrix {
             .map(|(a, b)| f(*a, *b))
             .collect();
         Matrix::from_vec(self.rows(), self.cols(), data)
+    }
+}
+
+/// Products under the GEMM engine's *sequential* reduction (see
+/// [`crate::gemm`]): every output element is the left fold
+/// `((0 + x₀y₀) + x₁y₁) + …` over the whole reduction in ascending order, each
+/// product rounded before it is added, so the result has the bits of the
+/// textbook scalar loop for every thread count and in both kernel modes. They
+/// exist for the CP-ALS MTTKRP, which views a tensor's flat storage in place as
+/// the `F × d₀` row-major matrix of its mode-0 fibres.
+impl MatrixView<'_> {
+    /// `self · b` (`m×k` times `k×n`) under the sequential reduction.
+    pub fn matmul_sequential(&self, b: &Matrix, threads: usize) -> Result<Matrix> {
+        if self.cols() != b.rows() {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_sequential",
+                lhs: self.shape(),
+                rhs: b.shape(),
+            });
+        }
+        let mut out = Matrix::zeros(self.rows(), b.cols());
+        gemm::gemm_sequential(
+            self.rows(),
+            b.cols(),
+            self.cols(),
+            &mut out,
+            threads,
+            gemm::ASource::Packed(&gemm::pack_rows(*self)),
+            &gemm::pack_panel_rows(b),
+        );
+        Ok(out)
+    }
+
+    /// `selfᵀ · K` under the sequential reduction, where `K` is the Khatri–Rao
+    /// matrix of `factors` (all `r` columns wide, with `Π d_q == self.rows()`):
+    /// row `f = i_1 + d_1·(i_2 + d_2·(…))` of `K` is
+    /// `factors[0][i_1] ⊙ factors[1][i_2] ⊙ …`, multiplied left to right. The
+    /// GEMM's B packer forms those rows straight into its panels, so `K` is
+    /// never built. The result is `self.cols() × r`.
+    pub fn t_matmul_khatri_rao_sequential(
+        &self,
+        factors: &[&Matrix],
+        threads: usize,
+    ) -> Result<Matrix> {
+        let r = factors.first().map_or(0, |f| f.cols());
+        let rows: usize = factors.iter().map(|f| f.rows()).product();
+        if factors.is_empty() || rows != self.rows() || factors.iter().any(|f| f.cols() != r) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "t_matmul_khatri_rao_sequential",
+                lhs: self.shape(),
+                rhs: (rows, r),
+            });
+        }
+        let mut out = Matrix::zeros(self.cols(), r);
+        gemm::gemm_sequential(
+            self.cols(),
+            r,
+            self.rows(),
+            &mut out,
+            threads,
+            gemm::ASource::Strided {
+                data: self.as_slice(),
+                stride: self.cols(),
+                pack: &gemm::pack_cols(*self),
+            },
+            &gemm::pack_panel_khatri_rao(factors),
+        );
+        Ok(out)
     }
 }
 

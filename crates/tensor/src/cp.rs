@@ -13,13 +13,21 @@
 //! ## Kernel structure
 //!
 //! Each mode update needs the matricized-tensor-times-Khatri–Rao product
-//! `T₍ₙ₎ · KR(..)`. Earlier revisions materialized the Khatri–Rao matrix
-//! (`Π_{k≠n} I_k × r` — quadratic in the tensor dimensions) and cached one full
-//! unfolding per mode; both are gone. The sweep now calls the fused
-//! [`DenseTensor::mttkrp`] kernel, which streams the tensor's storage once per mode,
-//! and the convergence check uses the standard Gram-based fit
-//! `‖T − T̂‖² = ‖T‖² − 2⟨T, T̂⟩ + ‖T̂‖²`, where `⟨T, T̂⟩` is read off the last MTTKRP
-//! and `‖T̂‖²` from the cached `r × r` factor Grams — no per-sweep reconstruction.
+//! `T₍ₙ₎ · KR(..)`, which [`DenseTensor::mttkrp`] computes on the blocked GEMM
+//! engine without materializing the unfolding or the Khatri–Rao matrix. A sweep
+//! runs two GEMMs, not one per mode:
+//!
+//! * mode 0 is the single GEMM `T₍₀₎ · KR(A_m, …, A₁)`;
+//! * right after the mode-0 update the sweep forms the partial product
+//!   `P = T₍₀₎ᵀ · A₀` (one row per mode-0 fibre) and every later mode reads its
+//!   MTTKRP off `P` with one streaming pass — `A₀` does not change again in the
+//!   sweep, so `P` is exact for all of them.
+//!
+//! Both GEMMs run the engine's sequential reduction, so every sweep has the bits
+//! of the scalar per-fibre MTTKRP at any thread count. The convergence check uses
+//! the standard Gram-based fit `‖T − T̂‖² = ‖T‖² − 2⟨T, T̂⟩ + ‖T̂‖²`, where
+//! `⟨T, T̂⟩` is read off the last MTTKRP and `‖T̂‖²` from the cached `r × r`
+//! factor Grams — no per-sweep reconstruction.
 
 use crate::{CpDecomposition, DenseTensor, RankRDecomposition, Result, TensorError};
 use linalg::{Matrix, SymmetricEigen};
@@ -205,12 +213,16 @@ impl CpAls {
         let norm_sq = norm * norm;
         let mut previous_fit = f64::INFINITY;
         let mut iterations = 0;
+        let threads = tensor.mttkrp_threads(rank);
 
         for iter in 0..self.options.max_iterations {
             iterations = iter + 1;
             // ⟨T, T̂⟩ via the final mode's MTTKRP and updated factor (valid because by
             // then every factor in the sweep is current).
             let mut inner = 0.0;
+            // P = T₍₀₎ᵀ·A₀, formed after the mode-0 update and shared by the
+            // MTTKRPs of every later mode in the sweep (A₀ no longer changes).
+            let mut partial = None;
             for mode in 0..order {
                 // V = hadamard product over other modes of (A_kᵀ A_k)  (r × r)
                 let mut v = Matrix::filled(rank, rank, 1.0);
@@ -220,9 +232,12 @@ impl CpAls {
                     }
                     v = v.hadamard(g)?;
                 }
-                // Fused MTTKRP: T_(mode) · KR(other factors) with no materialization.
+                // MTTKRP: T_(mode) · KR(other factors) with no materialization.
                 let factor_refs: Vec<&Matrix> = factors.iter().collect();
-                let mttkrp = tensor.mttkrp(mode, &factor_refs)?;
+                let mttkrp = match &partial {
+                    Some(p) => tensor.mttkrp_from_partial(mode, p, &factor_refs),
+                    None => tensor.mttkrp(mode, &factor_refs)?,
+                };
                 // Unnormalized update: A_mode = MTTKRP * pinv(V)
                 let vinv = pseudo_inverse_symmetric(&v)?;
                 let mut updated = mttkrp.matmul(&vinv)?;
@@ -237,6 +252,9 @@ impl CpAls {
                     inner = weighted_inner(&updated, &mttkrp, &weights);
                 }
                 grams[mode] = updated.gram_t();
+                if mode == 0 {
+                    partial = Some(tensor.mode0_partial(&updated, threads)?);
+                }
                 factors[mode] = updated;
             }
 

@@ -12,7 +12,7 @@
 //! `T₍ₙ₎ ≈ A_n (A_N ⊙ … ⊙ A_{n+1} ⊙ A_{n-1} ⊙ … ⊙ A_1)ᵀ` holds exactly.
 
 use crate::{Result, TensorError};
-use linalg::Matrix;
+use linalg::{Matrix, MatrixView};
 
 /// A dense tensor of arbitrary order with `f64` entries.
 #[derive(Debug, Clone, PartialEq)]
@@ -410,25 +410,33 @@ impl DenseTensor {
     /// Matricized-tensor times Khatri–Rao product (MTTKRP), the workhorse of CP-ALS:
     /// `T₍ₙ₎ · (A_N ⊙ … ⊙ A_{n+1} ⊙ A_{n−1} ⊙ … ⊙ A_1)` — the mode-`mode` unfolding
     /// times the Khatri–Rao product of the other factors in descending mode order —
-    /// computed by streaming the tensor's contiguous storage **once**, materializing
-    /// neither the unfolding nor the Khatri–Rao matrix.
+    /// computed on the blocked GEMM engine straight from the tensor's flat storage,
+    /// materializing neither the unfolding nor the Khatri–Rao matrix.
+    ///
+    /// The storage is read in place as `X`, the `F × d₀` row-major matrix whose
+    /// row `f` is the `f`-th mode-0 fibre (`F = Π_{k≥1} d_k`), and fibre `f` has
+    /// the Khatri–Rao weight `w_f = A₁[i₁] ⊙ A₂[i₂] ⊙ …`:
+    ///
+    /// * mode 0 is one GEMM, `Xᵀ · W`, whose B packer forms the rows `w_f`;
+    /// * mode `n ≥ 1` first forms the partial product `P = X · A₀` (`F × r`), then
+    ///   streams `out[iₙ] += P[f] ⊙ w_f` over the fibres in storage order, with
+    ///   `w_f` taken over the modes other than 0 and `n`.
+    ///
+    /// Both GEMMs run the engine's sequential reduction, so every output element
+    /// is the same left fold, in storage order, as the textbook per-fibre loop:
+    /// the result is bit-identical to it for finite input, for every thread count
+    /// and in both kernel modes.
     ///
     /// `factors` must hold one matrix per mode with `factors[k].rows() == shape[k]` and
     /// a common column count `r`; `factors[mode]` is ignored (CP-ALS passes the full
     /// factor list). The result is `shape[mode] × r`.
     pub fn mttkrp(&self, mode: usize, factors: &[&Matrix]) -> Result<Matrix> {
         let r = factors.first().map_or(0, |f| f.cols());
-        self.mttkrp_with_threads(
-            mode,
-            factors,
-            parallel::threads_for_work(2 * self.data.len() * r.max(1)),
-        )
+        self.mttkrp_with_threads(mode, factors, self.mttkrp_threads(r))
     }
 
-    /// [`DenseTensor::mttkrp`] with an explicit thread count. Output rows are
-    /// partitioned into blocks; every row accumulates over the tensor's fibers in
-    /// storage order regardless of blocking, so the result is bit-identical for every
-    /// `threads >= 1`.
+    /// [`DenseTensor::mttkrp`] with an explicit thread count. The result is
+    /// bit-identical for every `threads >= 1`.
     pub fn mttkrp_with_threads(
         &self,
         mode: usize,
@@ -467,20 +475,74 @@ impl DenseTensor {
                 });
             }
         }
-        let d_out = self.shape[mode];
-        let mut out = Matrix::zeros(d_out, r);
         if r == 0 || self.data.is_empty() {
-            return Ok(out);
+            return Ok(Matrix::zeros(self.shape[mode], r));
         }
-        let rows_per_block = d_out.div_ceil(threads.max(1) * 4).max(1);
-        parallel::for_each_chunk_mut(out.as_mut_slice(), rows_per_block * r, threads, {
-            let shape = &self.shape;
-            let data = &self.data;
-            move |block, chunk| {
-                mttkrp_rows(data, shape, mode, factors, r, block * rows_per_block, chunk);
+        if mode == 0 {
+            return Ok(self
+                .fibres()
+                .t_matmul_khatri_rao_sequential(&factors[1..], threads)?);
+        }
+        let partial = self.mode0_partial(factors[0], threads)?;
+        Ok(self.mttkrp_from_partial(mode, &partial, factors))
+    }
+
+    /// The flat storage viewed as `X`, the `F × d₀` row-major matrix of mode-0
+    /// fibres. Only called on non-empty tensors of order ≥ 2.
+    fn fibres(&self) -> MatrixView<'_> {
+        let d0 = self.shape[0];
+        MatrixView::new(self.data.len() / d0, d0, &self.data).expect("F·d₀ = len")
+    }
+
+    /// Thread count for the MTTKRP GEMMs at rank `r`.
+    pub(crate) fn mttkrp_threads(&self, r: usize) -> usize {
+        parallel::threads_for_work(2 * self.data.len() * r.max(1))
+    }
+
+    /// The mode-0 partial product `P = X · A₀` (`F × r`) shared by the MTTKRPs of
+    /// every mode `n ≥ 1` (see [`DenseTensor::mttkrp`]); it depends on `A₀` alone,
+    /// so CP-ALS forms it once per sweep. The tensor must be non-empty, of order
+    /// ≥ 2, with `a0.rows() == shape[0]`.
+    pub(crate) fn mode0_partial(&self, a0: &Matrix, threads: usize) -> Result<Matrix> {
+        Ok(self.fibres().matmul_sequential(a0, threads)?)
+    }
+
+    /// The mode-`mode` (≥ 1) MTTKRP from the partial product `P`: streams
+    /// `out[iₙ] += P[f] ⊙ w_f` over the fibres in storage order, where `w_f`
+    /// multiplies, left to right, the `factors` rows of every mode other than 0
+    /// and `mode`. Arguments are as validated by [`DenseTensor::mttkrp`].
+    pub(crate) fn mttkrp_from_partial(
+        &self,
+        mode: usize,
+        partial: &Matrix,
+        factors: &[&Matrix],
+    ) -> Matrix {
+        let order = self.order();
+        let r = partial.cols();
+        let mut out = Matrix::zeros(self.shape[mode], r);
+        let mut idx = vec![0usize; order];
+        let mut w = vec![1.0f64; r];
+        for p in partial.as_slice().chunks_exact(r) {
+            w.fill(1.0);
+            for k in 1..order {
+                if k != mode {
+                    for (wv, &fv) in w.iter_mut().zip(factors[k].row(idx[k])) {
+                        *wv *= fv;
+                    }
+                }
             }
-        });
-        Ok(out)
+            for ((o, &pv), &wv) in out.row_mut(idx[mode]).iter_mut().zip(p).zip(&w) {
+                *o += pv * wv;
+            }
+            for k in 1..order {
+                idx[k] += 1;
+                if idx[k] < self.shape[k] {
+                    break;
+                }
+                idx[k] = 0;
+            }
+        }
+        out
     }
 
     /// Gram matrix of the mode-`n` unfolding, `G = T₍ₙ₎ T₍ₙ₎ᵀ` (`I_n × I_n`), computed
@@ -619,9 +681,9 @@ impl DenseTensor {
     /// This is the inner step of both the HOPM and ALS rank-1 updates:
     /// `u_p ← T ×₁ u₁ᵀ … ×_{p−1} u_{p−1}ᵀ ×_{p+1} u_{p+1}ᵀ … ×ₘ uₘᵀ`.
     ///
-    /// This is the rank-1 specialization of the fused MTTKRP kernel: the tensor's flat
-    /// storage is streamed exactly once, with no intermediate tensors (the entry of
-    /// `vectors` at position `keep` is ignored).
+    /// This is the rank-1 case of [`DenseTensor::mttkrp`] as one scalar pass: the
+    /// tensor's flat storage is streamed exactly once, with no intermediate tensors
+    /// (the entry of `vectors` at position `keep` is ignored).
     pub fn contract_all_but(&self, keep: usize, vectors: &[&[f64]]) -> Result<Vec<f64>> {
         let order = self.order();
         if vectors.len() != order {
@@ -695,79 +757,6 @@ impl DenseTensor {
     }
 }
 
-/// Serial MTTKRP kernel for a block of output rows `[row0, row0 + out_rows.len()/r)`.
-///
-/// Streams the tensor as contiguous mode-0 fibers. For every fiber the scalar weights
-/// of the modes above 0 come from one row of each non-`mode` factor; mode 0 either
-/// scatters into the output rows (mode == 0) or is reduced against `factors[0]` first.
-/// Each output element accumulates over fibers in storage order, independent of the
-/// block partition — which is what makes the parallel driver bit-deterministic.
-fn mttkrp_rows(
-    data: &[f64],
-    shape: &[usize],
-    mode: usize,
-    factors: &[&Matrix],
-    r: usize,
-    row0: usize,
-    out_rows: &mut [f64],
-) {
-    let order = shape.len();
-    let d0 = shape[0];
-    let row1 = row0 + out_rows.len() / r;
-    let mut idx = vec![0usize; order];
-    let mut w = vec![1.0f64; r];
-    let mut acc = vec![0.0f64; r];
-    for fiber in data.chunks_exact(d0) {
-        if mode == 0 || (idx[mode] >= row0 && idx[mode] < row1) {
-            w.fill(1.0);
-            for k in 1..order {
-                if k == mode {
-                    continue;
-                }
-                let f_row = factors[k].row(idx[k]);
-                for (wv, &fv) in w.iter_mut().zip(f_row.iter()) {
-                    *wv *= fv;
-                }
-            }
-            if mode == 0 {
-                for i0 in row0..row1 {
-                    let t = fiber[i0];
-                    if t == 0.0 {
-                        continue;
-                    }
-                    let o = &mut out_rows[(i0 - row0) * r..(i0 - row0 + 1) * r];
-                    for (ov, &wv) in o.iter_mut().zip(w.iter()) {
-                        *ov += t * wv;
-                    }
-                }
-            } else {
-                acc.fill(0.0);
-                for (i0, &t) in fiber.iter().enumerate() {
-                    if t == 0.0 {
-                        continue;
-                    }
-                    let a_row = factors[0].row(i0);
-                    for (av, &fv) in acc.iter_mut().zip(a_row.iter()) {
-                        *av += t * fv;
-                    }
-                }
-                let local = idx[mode] - row0;
-                let o = &mut out_rows[local * r..(local + 1) * r];
-                for ((ov, &av), &wv) in o.iter_mut().zip(acc.iter()).zip(w.iter()) {
-                    *ov += av * wv;
-                }
-            }
-        }
-        for k in 1..order {
-            idx[k] += 1;
-            if idx[k] < shape[k] {
-                break;
-            }
-            idx[k] = 0;
-        }
-    }
-}
-
 /// Independent running dot products per row step of the mode-`n` Gram kernel:
 /// enough separate add chains to hide the floating-point add latency.
 const GRAM_LANES: usize = 8;
@@ -830,6 +819,75 @@ fn compute_strides(shape: &[usize]) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    /// The scalar per-fibre MTTKRP loop as it stood before the GEMM kernels, for
+    /// output rows `[row0, row0 + out_rows.len()/r)`. Kept only as the
+    /// bit-identity reference for [`DenseTensor::mttkrp`].
+    fn mttkrp_rows(
+        data: &[f64],
+        shape: &[usize],
+        mode: usize,
+        factors: &[&Matrix],
+        r: usize,
+        row0: usize,
+        out_rows: &mut [f64],
+    ) {
+        let order = shape.len();
+        let d0 = shape[0];
+        let row1 = row0 + out_rows.len() / r;
+        let mut idx = vec![0usize; order];
+        let mut w = vec![1.0f64; r];
+        let mut acc = vec![0.0f64; r];
+        for fiber in data.chunks_exact(d0) {
+            if mode == 0 || (idx[mode] >= row0 && idx[mode] < row1) {
+                w.fill(1.0);
+                for k in 1..order {
+                    if k == mode {
+                        continue;
+                    }
+                    let f_row = factors[k].row(idx[k]);
+                    for (wv, &fv) in w.iter_mut().zip(f_row.iter()) {
+                        *wv *= fv;
+                    }
+                }
+                if mode == 0 {
+                    for i0 in row0..row1 {
+                        let t = fiber[i0];
+                        if t == 0.0 {
+                            continue;
+                        }
+                        let o = &mut out_rows[(i0 - row0) * r..(i0 - row0 + 1) * r];
+                        for (ov, &wv) in o.iter_mut().zip(w.iter()) {
+                            *ov += t * wv;
+                        }
+                    }
+                } else {
+                    acc.fill(0.0);
+                    for (i0, &t) in fiber.iter().enumerate() {
+                        if t == 0.0 {
+                            continue;
+                        }
+                        let a_row = factors[0].row(i0);
+                        for (av, &fv) in acc.iter_mut().zip(a_row.iter()) {
+                            *av += t * fv;
+                        }
+                    }
+                    let local = idx[mode] - row0;
+                    let o = &mut out_rows[local * r..(local + 1) * r];
+                    for ((ov, &av), &wv) in o.iter_mut().zip(acc.iter()).zip(w.iter()) {
+                        *ov += av * wv;
+                    }
+                }
+            }
+            for k in 1..order {
+                idx[k] += 1;
+                if idx[k] < shape[k] {
+                    break;
+                }
+                idx[k] = 0;
+            }
+        }
+    }
+
     fn example_3d() -> DenseTensor {
         // Shape 2x3x2, filled with 1..=12 in storage order (first index fastest).
         DenseTensor::from_vec(&[2, 3, 2], (1..=12).map(|v| v as f64).collect()).unwrap()
@@ -864,6 +922,66 @@ mod tests {
             }
         }
         g
+    }
+
+    #[test]
+    fn mttkrp_is_bit_identical_to_the_scalar_reference() {
+        // Orders 2–4; d₀ and the fibre count F each beyond one GEMM k-block.
+        let kc = linalg::gemm::KC;
+        let shapes: [&[usize]; 6] = [
+            &[kc + 44, 3],
+            &[5, kc + 7],
+            &[kc + 9, 3, 2],
+            &[4, 20, 15],
+            &[kc + 1, 17, 16],
+            &[3, 4, 5, 15],
+        ];
+        for (s, shape) in shapes.iter().enumerate() {
+            let len: usize = shape.iter().product();
+            // Exact zeros of both signs, as the reference loop skips them.
+            let data = (0..len)
+                .map(|e| match e % 7 {
+                    0 => 0.0,
+                    3 => -0.0,
+                    _ => ((e as f64) * 0.731 + s as f64).sin(),
+                })
+                .collect();
+            let t = DenseTensor::from_vec(shape, data).unwrap();
+            for r in [1, 3, 8, 20] {
+                let factors: Vec<Matrix> = shape
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &d)| {
+                        let vals = (0..d * r)
+                            .map(|e| {
+                                if e % 5 == 1 {
+                                    0.0
+                                } else {
+                                    ((e * 3 + k) as f64 * 0.377).cos()
+                                }
+                            })
+                            .collect();
+                        Matrix::from_vec(d, r, vals).unwrap()
+                    })
+                    .collect();
+                let refs: Vec<&Matrix> = factors.iter().collect();
+                for mode in 0..shape.len() {
+                    let mut want = Matrix::zeros(shape[mode], r);
+                    mttkrp_rows(&t.data, shape, mode, &refs, r, 0, want.as_mut_slice());
+                    for threads in [1, 4] {
+                        let got = t.mttkrp_with_threads(mode, &refs, threads).unwrap();
+                        assert_eq!(got.shape(), want.shape());
+                        for (e, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "shape {shape:?}, r {r}, mode {mode}, {threads} threads, entry {e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

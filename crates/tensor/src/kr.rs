@@ -6,11 +6,12 @@
 //! matches the mode-`n` unfolding used by [`crate::DenseTensor::unfold`] (smallest mode
 //! index varying fastest).
 //!
-//! The solvers themselves no longer materialize this product — the fused
-//! [`crate::DenseTensor::mttkrp`] kernel computes `T₍ₙ₎ · KR(..)` directly from the
-//! tensor's flat storage. These helpers remain as the reference definition the
-//! property tests check the fused kernel against, and for callers that need the
-//! explicit matrix.
+//! The solvers themselves never materialize this product — the
+//! [`crate::DenseTensor::mttkrp`] kernel computes `T₍ₙ₎ · KR(..)` on the GEMM
+//! engine straight from the tensor's flat storage, its packers forming the
+//! Khatri–Rao rows as they are consumed. These helpers remain as the reference
+//! definition the property tests check that kernel against, and for callers that
+//! need the explicit matrix.
 
 use crate::{Result, TensorError};
 use linalg::Matrix;

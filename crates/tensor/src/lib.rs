@@ -9,11 +9,12 @@
 //!
 //! * [`DenseTensor`] — an arbitrary-order dense tensor with mode-n matricization,
 //!   mode-n (tensor × matrix) products, rank-1 accumulation, Frobenius geometry and
-//!   the fused [`DenseTensor::mttkrp`] kernel (matricized tensor times Khatri–Rao,
-//!   computed by streaming the flat storage once — no unfolding, no materialized
-//!   Khatri–Rao matrix) that every decomposition's inner loop runs on,
+//!   the [`DenseTensor::mttkrp`] kernel (matricized tensor times Khatri–Rao, run on
+//!   the blocked GEMM engine straight from the flat storage — no unfolding, no
+//!   materialized Khatri–Rao matrix, and the bits of the scalar per-fibre loop)
+//!   that CP-ALS's inner loop runs on,
 //! * [`khatri_rao`] / [`khatri_rao_list`] — the column-wise Kronecker products; the
-//!   reference definition of what `mttkrp` fuses away,
+//!   reference definition of the operand `mttkrp` never builds,
 //! * [`CpAls`] — the alternating least squares CP decomposition (Kroonenberg & De Leeuw
 //!   1980; Comon et al. 2009), the optimizer the paper adopts,
 //! * [`Hopm`] — the higher-order power method of De Lathauwer et al. (2000b) for the
