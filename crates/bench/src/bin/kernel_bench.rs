@@ -11,9 +11,10 @@
 //! matrix products (including a tile-sweep straddling the blocked GEMM's
 //! `MR`/`KC`/`MC` boundaries, the skinny serving-projection shapes, and a large
 //! square product sized for peak-throughput comparison), the covariance /
-//! whitened-covariance tensor build, and the three decomposition solvers — and
-//! emits one JSON object per run. GEMM-shaped entries carry a `gflops` field
-//! computed from the fastest sample, so mode/precision speedups read directly:
+//! whitened-covariance tensor build, the symmetric eigensolver at the fit-path
+//! view widths, and the three decomposition solvers — and emits one JSON object
+//! per run. GEMM-shaped entries carry a `gflops` field computed from the fastest
+//! sample, so mode/precision speedups read directly:
 //!
 //! ```json
 //! {"schema": "tcca-kernel-bench/v2", "threads": 1, "mode": "strict", "kernels": [
@@ -53,7 +54,7 @@
 //! bits.
 
 use datasets::GaussianRng;
-use linalg::{gemm, ColsView, Matrix, MatrixF32};
+use linalg::{gemm, ColsView, Matrix, MatrixF32, SymmetricEigen};
 use std::fmt::Write as _;
 use std::time::Instant;
 use tcca::{covariance_tensor, whitened_covariance_tensor};
@@ -104,6 +105,15 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = GaussianRng::new(seed);
     let data: Vec<f64> = (0..rows * cols).map(|_| rng.standard_normal()).collect();
     Matrix::from_vec(rows, cols, data).expect("shape matches data")
+}
+
+/// The regularized covariance `XXᵀ/400 + 10⁻²·I` of a seeded `d × 400` sample,
+/// shaped like one whitening input.
+fn spd_covariance(d: usize, seed: u64) -> Matrix {
+    let x = random_matrix(d, 400, seed);
+    let mut cov = x.syrk().scale(1.0 / 400.0);
+    cov.add_diagonal(1e-2);
+    cov
 }
 
 fn random_views(dims: &[usize], n: usize, seed: u64) -> Vec<Matrix> {
@@ -269,15 +279,19 @@ fn checksum_suite() -> Vec<(String, u64)> {
     combined.extend_from_slice(eig.eigenvectors.as_slice());
     push("randomized_whiten/600x512/k32".to_string(), &combined);
 
-    // Exact whitening at the ads view width: the Jacobi eigensolver and the
+    // Exact whitening at the ads view width: the symmetric eigensolver and the
     // spectral reconstruction.
-    let x = random_matrix(147, 400, 30);
-    let mut cov = x.syrk().scale(1.0 / 400.0);
-    cov.add_diagonal(1e-2);
+    let cov = spd_covariance(147, 30);
     push(
         "inverse_sqrt_spd/147".to_string(),
         cov.inverse_sqrt_spd(1e-12).unwrap().as_slice(),
     );
+    // The eigensolver's own output, so that a change of eigenvalue order or
+    // eigenvector sign shows even where the spectral map would hide it.
+    let eig = SymmetricEigen::new(&cov).unwrap();
+    let mut eig_bits = eig.eigenvalues.clone();
+    eig_bits.extend_from_slice(eig.eigenvectors.as_slice());
+    push("symmetric_eigen/147".to_string(), &eig_bits);
 
     out
 }
@@ -513,7 +527,7 @@ fn main() {
 
     if whiten {
         // Whitening-fit comparison: the dense exact path ((C + εI)^{-1/2} via a
-        // d×d Jacobi eigensolve) against the randomized range-finder at growing
+        // d×d symmetric eigensolve) against the randomized range-finder at growing
         // view dimensions. Exact is O(d³) and only feasible at d = 512; the
         // randomized path never materializes the d×d covariance, so it scales to
         // the d ≈ 100k views the stage API targets. Sample counts shrink with d
@@ -548,6 +562,16 @@ fn main() {
                 },
             ));
         }
+    }
+
+    // The dense symmetric eigensolver at the fit-path sizes: the SecStr view
+    // width and the widest Ads view (each whitener and HOSVD mode Gram is one
+    // such solve).
+    for d in [105usize, 147] {
+        let cov = spd_covariance(d, 60 + d as u64);
+        records.push(time(&format!("symmetric_eigen/{d}"), samples, || {
+            std::hint::black_box(SymmetricEigen::new(&cov).unwrap());
+        }));
     }
 
     // Decomposition solvers end to end.

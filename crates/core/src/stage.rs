@@ -200,7 +200,7 @@ impl FittedStage for FittedPca {
 /// ([`Whiten::from_spec`], inert when the spec says [`WhitenSpec::None`]) or is
 /// fixed at construction ([`Whiten::fixed`]).
 ///
-/// * **Exact** — `W = (C + εI)^{-1/2}` via the dense Jacobi eigensolver: the
+/// * **Exact** — `W = (C + εI)^{-1/2}` via the dense symmetric eigensolver: the
 ///   full-dimensional (`d × d`) whitening of the paper's preamble. `O(d³)`; small
 ///   `d` only.
 /// * **Randomized** — seeded Gaussian range-finder over the sketched covariance

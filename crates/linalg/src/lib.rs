@@ -4,8 +4,9 @@
 //! set of dense linear-algebra primitives:
 //!
 //! * a column-major-agnostic dense [`Matrix`] type with the usual arithmetic,
-//! * symmetric eigendecomposition (cyclic Jacobi) used for inverse square roots,
-//!   PCA and spectral embedding,
+//! * symmetric eigendecomposition (Householder tridiagonalization plus implicit-shift
+//!   QL) used for inverse square roots, PCA, spectral embedding and the HOSVD that
+//!   seeds CP-ALS,
 //! * Cholesky factorization and triangular solves used for ridge/RLS systems and the
 //!   kernel-TCCA whitening `(K² + εK) = LᵀL`,
 //! * a thin SVD used by two-view CCA, CCA-MAXVAR and PCA,

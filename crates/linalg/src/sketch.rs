@@ -3,7 +3,7 @@
 //! eigendecomposition for kernel matrices.
 //!
 //! The exact whitening preamble of TCCA forms the `d × d` covariance and takes its
-//! inverse square root — `O(d²)` memory and an `O(d³)` Jacobi eigensolve, which is
+//! inverse square root — `O(d²)` memory and an `O(d³)` dense eigensolve, which is
 //! infeasible at `d ≈ 100k`. The primitives here never materialize the covariance:
 //! [`randomized_covariance_eig`] touches `C = XXᵀ/N` only through the two-GEMM
 //! product `C·Ω = X(XᵀΩ)/N`, riding the existing blocked engine ([`crate::gemm`]),
@@ -111,7 +111,7 @@ fn covariance_times(x: &Matrix, q: &Matrix) -> Result<Matrix> {
 /// The returned basis spans the dominant eigenspace up to the usual randomized
 /// error bound; with 1–2 power iterations and a modest oversample the principal
 /// angles against the exact leading eigenvectors are small whenever the spectrum
-/// decays (property-tested against the Jacobi eigensolver at small `d`).
+/// decays (property-tested against the dense eigensolver at small `d`).
 pub fn randomized_covariance_eig(
     x: &Matrix,
     rank: usize,
@@ -260,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn randomized_eig_matches_jacobi_on_small_problem() {
+    fn randomized_eig_matches_the_dense_eigensolver_on_small_problem() {
         let (x, _) = center_rows(&decaying_view(20, 300, 1));
         let approx = randomized_covariance_eig(&x, 4, 6, 2, 9).unwrap();
         let exact = SymmetricEigen::new(&crate::covariance(&x)).unwrap();

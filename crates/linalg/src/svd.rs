@@ -5,9 +5,9 @@
 //! the stacked canonical variables, and PCA is the SVD of the centered data matrix.
 //!
 //! The implementation computes the eigendecomposition of the smaller Gram matrix
-//! (`AᵀA` or `AAᵀ`) with the Jacobi solver and recovers the other side's singular
-//! vectors by projection, which is accurate for the well-conditioned, moderately sized
-//! matrices that appear in these experiments.
+//! (`AᵀA` or `AAᵀ`) with the symmetric eigensolver and recovers the other side's
+//! singular vectors by projection, which is accurate for the well-conditioned,
+//! moderately sized matrices that appear in these experiments.
 
 use crate::{Matrix, Result, SymmetricEigen};
 

@@ -415,7 +415,7 @@ proptest! {
     ) {
         // A d × N view with a planted rank-3 signal well above the noise floor:
         // the randomized range-finder's top-3 eigenvectors must span the same
-        // subspace as the dense Jacobi eigensolver's, measured by principal
+        // subspace as the dense symmetric eigensolver's, measured by principal
         // angles (the singular values of UₑᵀUᵣ are the angle cosines — all ≈ 1
         // iff the subspaces coincide; this is basis- and sign-independent).
         let (d, n, k) = (12usize, 80usize, 3usize);

@@ -13,7 +13,8 @@
 //! * [`baselines`] — every method the paper compares against (CCA, CCA-LS, CCA-MAXVAR,
 //!   DSE, SSMVD, PCA, KCCA and the feature-level baselines).
 //! * [`linalg`] / [`tensor`] — the dense linear-algebra and tensor-decomposition
-//!   substrates (Jacobi eigensolver, Cholesky, SVD, CP-ALS, HOPM, tensor power method).
+//!   substrates (Householder–QL symmetric eigensolver, Cholesky, SVD, CP-ALS, HOPM,
+//!   tensor power method).
 //! * [`datasets`] — synthetic multi-view generators emulating the paper's SecStr, Ads
 //!   and NUS-WIDE benchmarks, plus kernels and split helpers.
 //! * [`learners`] — the downstream RLS and kNN classifiers and the evaluation protocol.
