@@ -2,9 +2,8 @@
 //! trajectory and the CI `perf-determinism` harness.
 //!
 //! ```text
-//! cargo run --release -p tcca-bench --bin kernel_bench [-- --samples N] [--out FILE]
-//!     [--mode strict|fma] [--precision f64|f32] [--whiten]
-//! cargo run --release -p tcca-bench --bin kernel_bench -- --checksums [--mode …] [--out FILE]
+//! cargo run --release -p tcca-bench --bin kernel_bench [-- --samples N] [--out FILE] [--whiten]
+//! cargo run --release -p tcca-bench --bin kernel_bench -- --checksums [--out FILE]
 //! ```
 //!
 //! The default mode times the hot kernels of the TCCA pipeline — MTTKRP, the dense
@@ -14,7 +13,7 @@
 //! whitened-covariance tensor build, the symmetric eigensolver at the fit-path
 //! view widths, and the three decomposition solvers — and emits one JSON object
 //! per run. GEMM-shaped entries carry a `gflops` field computed from the fastest
-//! sample, so mode/precision speedups read directly:
+//! sample:
 //!
 //! ```json
 //! {"schema": "tcca-kernel-bench/v2", "threads": 1, "mode": "strict", "kernels": [
@@ -23,14 +22,11 @@
 //! ]}
 //! ```
 //!
-//! `--mode fma` resolves the process-wide kernel mode to the FMA microkernel
-//! before any product runs (`TCCA_KERNEL_MODE` in the environment still wins —
-//! it is the operator override). `--precision f32` additionally times the
-//! serving projection through the `f32` fast path. `--whiten` appends the
-//! whitening-fit comparison — exact `(C + εI)^{-1/2}` at `d = 512` against the
-//! randomized range-finder at `d ∈ {512, 8192, 100000}` — which takes a few extra
-//! seconds, so it is opt-in. The JSON records the *resolved* mode, so a host
-//! without AVX2+FMA shows `"strict"`.
+//! `--whiten` appends the whitening-fit comparison — exact `(C + εI)^{-1/2}` at
+//! `d = 512` against the randomized range-finder at `d ∈ {512, 8192, 100000}` —
+//! which takes a few extra seconds, so it is opt-in. The `"mode"` field is always
+//! `"strict"` (the engine's only arithmetic); it stays in the schema so the
+//! committed checksum baseline keeps its bytes.
 //!
 //! `--checksums` instead runs every kernel **once** on fixed seeded inputs at sizes
 //! large enough to engage multithreading, and emits an FNV-1a hash of each output's
@@ -43,18 +39,15 @@
 //! ]}
 //! ```
 //!
-//! CI runs the checksum mode under `TCCA_NUM_THREADS=1` and `=4` **per kernel
-//! mode** and diffs the two files byte for byte: any divergence means a kernel's
-//! accumulation schedule leaked a thread-count dependence. Each mode is also
-//! diffed against its own committed baseline (`ci/kernel-checksums-strict.json`,
-//! `ci/kernel-checksums-fma.json`) — never against the other mode's: FMA
-//! contracts each multiply-add to one rounding, so its bits legitimately differ
-//! from strict while remaining deterministic within the mode. Timings are logged
-//! as artifacts, never asserted — shared runners lie about speed, but bits are
-//! bits.
+//! CI runs the checksum mode under `TCCA_NUM_THREADS=1` and `=4` and diffs each
+//! file byte for byte against the committed baseline
+//! (`ci/kernel-checksums-strict.json`): any divergence means a kernel's
+//! accumulation schedule leaked a thread-count dependence or its bits changed.
+//! Timings are logged as artifacts, never asserted — shared runners lie about
+//! speed, but bits are bits.
 
 use datasets::GaussianRng;
-use linalg::{gemm, ColsView, Matrix, MatrixF32, SymmetricEigen};
+use linalg::{gemm, ColsView, Matrix, SymmetricEigen};
 use std::fmt::Write as _;
 use std::time::Instant;
 use tcca::{covariance_tensor, whitened_covariance_tensor};
@@ -301,14 +294,12 @@ fn main() {
     let mut samples = 10usize;
     let mut out_path: Option<String> = None;
     let mut checksums = false;
-    let mut mode = gemm::KernelMode::Strict;
-    let mut f32_path = false;
     let mut whiten = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
         match flag {
-            "--samples" | "--out" | "--mode" | "--precision" => {
+            "--samples" | "--out" => {
                 i += 1;
                 let value = args
                     .get(i)
@@ -316,47 +307,22 @@ fn main() {
                 match flag {
                     "--samples" => samples = value.parse().expect("--samples takes an integer"),
                     "--out" => out_path = Some(value.clone()),
-                    "--mode" => {
-                        mode = match value.as_str() {
-                            "strict" => gemm::KernelMode::Strict,
-                            "fma" => gemm::KernelMode::Fma,
-                            other => panic!("--mode takes strict or fma, got {other}"),
-                        }
-                    }
-                    "--precision" => {
-                        f32_path = match value.as_str() {
-                            "f64" => false,
-                            "f32" => true,
-                            other => panic!("--precision takes f64 or f32, got {other}"),
-                        }
-                    }
                     _ => unreachable!(),
                 }
             }
             "--checksums" => checksums = true,
             "--whiten" => whiten = true,
             other => panic!(
-                "unknown argument {other}; use --samples N / --out FILE / --checksums \
-                 / --whiten / --mode strict|fma / --precision f64|f32"
+                "unknown argument {other}; use --samples N / --out FILE / --checksums / --whiten"
             ),
         }
         i += 1;
     }
 
-    // Resolve the process-wide kernel mode before the first product runs; the
-    // resolution is permanent, and the JSON records what actually resolved
-    // (`TCCA_KERNEL_MODE` overrides the flag; a host without AVX2+FMA clamps
-    // `fma` back to `strict`).
-    let mode = gemm::set_kernel_mode(mode);
-    let mode_name = match mode {
-        gemm::KernelMode::Strict => "strict",
-        gemm::KernelMode::Fma => "fma",
-    };
-
     if checksums {
         let mut json = String::new();
         json.push_str("{\n  \"schema\": \"tcca-kernel-checksums/v2\",\n");
-        let _ = writeln!(json, "  \"mode\": \"{mode_name}\",");
+        json.push_str("  \"mode\": \"strict\",\n");
         json.push_str("  \"kernels\": [\n");
         let records = checksum_suite();
         for (i, (name, sum)) in records.iter().enumerate() {
@@ -419,9 +385,8 @@ fn main() {
         std::hint::black_box(a.transpose());
     }));
 
-    // A large square product sized for peak throughput: this is the entry the
-    // FMA-vs-strict comparison reads, far enough from the tile edges that the
-    // microkernel dominates over packing.
+    // A large square product sized for peak throughput, far enough from the
+    // tile edges that the microkernel dominates over packing.
     let sq_a = random_matrix(512, 512, 26);
     let sq_b = random_matrix(512, 512, 27);
     records.push(time_flops(
@@ -463,33 +428,6 @@ fn main() {
             std::hint::black_box(inst.t_matmul(&proj).unwrap());
         },
     ));
-    if f32_path {
-        // The same projection through the f32 serving fast path: a ColsView over
-        // the instance block, centered during packing, against an f32 shadow of
-        // the projection — exactly what `Precision::F32` requests execute. Its
-        // f64 twin runs the identical ColsView+shift path so the pair isolates
-        // the precision delta from the direct-A dispatch above.
-        let cols = ColsView::from_matrices(std::iter::once(&inst)).unwrap();
-        let proj32 = MatrixF32::from_f64(&proj);
-        let shift64: Vec<f64> = (0..64).map(|i| (i as f64) * 0.01 - 0.25).collect();
-        let shift32: Vec<f32> = shift64.iter().map(|&x| x as f32).collect();
-        records.push(time_flops(
-            "cols_proj_f64/4096x64x4",
-            samples,
-            2 * 4096 * 64 * 4,
-            || {
-                std::hint::black_box(cols.shifted_t_matmul(Some(&shift64), &proj).unwrap());
-            },
-        ));
-        records.push(time_flops(
-            "cols_proj_f32/4096x64x4",
-            samples,
-            2 * 4096 * 64 * 4,
-            || {
-                std::hint::black_box(cols.shifted_t_matmul_f32(Some(&shift32), &proj32).unwrap());
-            },
-        ));
-    }
 
     // Self-products (the covariance / whitening symmetric rank-k path).
     records.push(time("gram/200x400", samples, || {
@@ -589,7 +527,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n  \"schema\": \"tcca-kernel-bench/v2\",\n");
     let _ = writeln!(json, "  \"threads\": {},", parallel::max_threads());
-    let _ = writeln!(json, "  \"mode\": \"{mode_name}\",");
+    json.push_str("  \"mode\": \"strict\",\n");
     json.push_str("  \"kernels\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = write!(

@@ -8,7 +8,8 @@
 //! stack relies on, replacing the old `embedding()`-only accessors.
 //!
 //! The paper's full methods are these estimators wrapped in
-//! [`crate::Pipeline::with_pca`] (see [`crate::estimators::dse_pipeline`] and
+//! a [`crate::Pipeline::builder()`] standardize → PCA stage list (see
+//! [`crate::estimators::dse_pipeline`] and
 //! [`crate::estimators::ssmvd_pipeline`]), which contributes the per-view PCA
 //! pre-reduction that used to be hand-rolled inside `Dse::fit` / `Ssmvd::fit`.
 

@@ -325,13 +325,6 @@ impl MultiViewModel for CcaLsModel {
         Ok(self.inner.transform_view_cols(which, cols)?)
     }
 
-    fn view_projection(&self, which: usize) -> Option<crate::ViewProjection<'_>> {
-        Some(crate::ViewProjection {
-            weights: self.inner.projections().get(which)?,
-            shift: Some(self.inner.means().get(which)?),
-        })
-    }
-
     fn memory(&self) -> &MemoryModel {
         &self.memory
     }
@@ -436,13 +429,6 @@ impl MultiViewModel for CcaMaxVarModel {
             )));
         }
         Ok(self.inner.transform_view_cols(which, cols)?)
-    }
-
-    fn view_projection(&self, which: usize) -> Option<crate::ViewProjection<'_>> {
-        Some(crate::ViewProjection {
-            weights: self.inner.projections().get(which)?,
-            shift: Some(self.inner.means().get(which)?),
-        })
     }
 
     fn memory(&self) -> &MemoryModel {
@@ -570,14 +556,6 @@ impl MultiViewModel for PcaModel {
         Ok(pca.transform_cols(cols)?)
     }
 
-    fn view_projection(&self, which: usize) -> Option<crate::ViewProjection<'_>> {
-        let pca = self.pcas.get(which)?;
-        Some(crate::ViewProjection {
-            weights: pca.components(),
-            shift: Some(pca.mean()),
-        })
-    }
-
     fn memory(&self) -> &MemoryModel {
         &self.memory
     }
@@ -620,8 +598,8 @@ impl MultiViewEstimator for TccaEstimator {
         // internal `(C + εI)^{-1/2}` is now a cheap k × k problem — and fold the
         // whitener into the projection. The fitted model keeps the exact same
         // shape as the plain path (`d × r` projections plus per-view means), so
-        // persistence, serving's zero-copy `transform_view_cols` and the f32
-        // shadow path are untouched.
+        // persistence and serving's zero-copy `transform_view_cols` are
+        // untouched.
         let mut means = Vec::with_capacity(views.len());
         let mut whiteners = Vec::with_capacity(views.len());
         let mut whitened = Vec::with_capacity(views.len());
@@ -737,13 +715,6 @@ impl MultiViewModel for TccaModel {
 
     fn transform_view_cols(&self, which: usize, cols: &linalg::ColsView<'_>) -> Result<Matrix> {
         Ok(self.inner.transform_view_cols(which, cols)?)
-    }
-
-    fn view_projection(&self, which: usize) -> Option<crate::ViewProjection<'_>> {
-        Some(crate::ViewProjection {
-            weights: self.inner.projections().get(which)?,
-            shift: Some(self.inner.means().get(which)?),
-        })
     }
 
     fn memory(&self) -> &MemoryModel {

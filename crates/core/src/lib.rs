@@ -65,7 +65,7 @@ pub use error::CoreError;
 pub use memcost::MemoryModel;
 pub use model::{
     check_same_instances, check_square_kernels, CombineRule, InputKind, MultiViewEstimator,
-    MultiViewModel, Output, ViewProjection,
+    MultiViewModel, Output,
 };
 pub use persist::{ModelMeta, ModelState};
 pub use pipeline::{Pipeline, PipelineBuilder};

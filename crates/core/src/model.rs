@@ -81,16 +81,6 @@ pub trait MultiViewEstimator: Send + Sync {
     fn load_state(&self, state: &ModelState) -> Result<Box<dyn MultiViewModel>>;
 }
 
-/// The borrowed pieces of one view's linear projection `(X − shift·1ᵀ)ᵀ · W`:
-/// what [`MultiViewModel::view_projection`] exposes so the serving layer can
-/// derive alternate-precision copies of the factor matrices.
-pub struct ViewProjection<'a> {
-    /// The `d × r` projection weights for this view.
-    pub weights: &'a Matrix,
-    /// Optional per-feature shift (length `d`), subtracted before projecting.
-    pub shift: Option<&'a [f64]>,
-}
-
 /// A fitted multi-view model that projects instances into the learned subspace.
 pub trait MultiViewModel: Send + Sync {
     /// Display name of the method that produced the model.
@@ -126,17 +116,6 @@ pub trait MultiViewModel: Send + Sync {
     /// copies**. Every implementation must be bit-identical to the stitched path.
     fn transform_view_cols(&self, which: usize, cols: &ColsView<'_>) -> Result<Matrix> {
         self.transform_view(which, &cols.to_matrix())
-    }
-
-    /// Borrow the raw linear projection for one view, when the model's
-    /// `transform_view` is exactly `(X − shift·1ᵀ)ᵀ · W` — a `d × r` weight
-    /// matrix plus an optional per-feature shift (mean-centering). The serving
-    /// layer uses this to build cached reduced-precision shadows of the factor
-    /// matrices without knowing each estimator's internals; models whose
-    /// per-view transform is not a plain shifted projection (kernel methods,
-    /// multi-candidate baselines) keep the `None` default and serve f64 only.
-    fn view_projection(&self, _which: usize) -> Option<ViewProjection<'_>> {
-        None
     }
 
     /// All candidate representations of the given instances. Most methods produce one

@@ -16,18 +16,13 @@
 //!     .whiten(WhitenSpec::randomized())
 //!     .build(Box::new(DseConsensus));
 //! ```
-//!
-//! The old constructors remain as shims: [`Pipeline::new`] is
-//! `builder().standardize()` and [`Pipeline::with_pca`] is
-//! `builder().standardize().pca()`, with identical semantics (standardization is
-//! still gated on the spec's `center`/`scale` switches).
 
 use crate::model::check_same_instances;
 use crate::stage::load_fitted_stage;
 use crate::{
     CombineRule, CoreError, FitSpec, FittedStage, InputKind, MemoryModel, ModelState,
-    MultiViewEstimator, MultiViewModel, Output, PcaReduce, Result, Standardize, ViewProjection,
-    ViewStage, WhitenSpec,
+    MultiViewEstimator, MultiViewModel, Output, PcaReduce, Result, Standardize, ViewStage,
+    WhitenSpec,
 };
 use linalg::{ColsView, Matrix};
 
@@ -37,8 +32,8 @@ use linalg::{ColsView, Matrix};
 /// Each [`ViewStage`] may be inert under the given [`FitSpec`] (e.g.
 /// [`Standardize`] when neither `center` nor `scale` is set): inert stages drop
 /// out of the fitted model entirely, so a stage-less pipeline delegates
-/// `transform_view_cols` / `view_projection` straight to the inner model and
-/// keeps its zero-copy serving paths.
+/// `transform_view_cols` straight to the inner model and keeps its zero-copy
+/// serving path.
 ///
 /// The pipeline reports the inner estimator's name, so registering
 /// `Pipeline::builder().standardize().pca().build(Box::new(DseConsensus))` under
@@ -101,20 +96,6 @@ impl Pipeline {
     /// Start an empty stage list.
     pub fn builder() -> PipelineBuilder {
         PipelineBuilder::default()
-    }
-
-    /// Wrap an estimator with standardization-only preprocessing (active when the
-    /// spec's `center`/`scale` switches are set).
-    #[deprecated(note = "use `Pipeline::builder().standardize().build(inner)`")]
-    pub fn new(inner: Box<dyn MultiViewEstimator>) -> Self {
-        Self::builder().standardize().build(inner)
-    }
-
-    /// Wrap an estimator with standardization plus per-view PCA pre-reduction to
-    /// `spec.effective_per_view_dim()` components.
-    #[deprecated(note = "use `Pipeline::builder().standardize().pca().build(inner)`")]
-    pub fn with_pca(inner: Box<dyn MultiViewEstimator>) -> Self {
-        Self::builder().standardize().pca().build(inner)
     }
 }
 
@@ -289,16 +270,6 @@ impl MultiViewModel for PipelineModel {
         self.inner.transform_view(which, &out)
     }
 
-    fn view_projection(&self, which: usize) -> Option<ViewProjection<'_>> {
-        // A staged transform is a composition, not a single shifted projection;
-        // only a stage-less pipeline can expose the inner model's weights.
-        if self.slots.is_empty() {
-            self.inner.view_projection(which)
-        } else {
-            None
-        }
-    }
-
     fn outputs(&self, views: &[Matrix]) -> Result<Vec<Output>> {
         self.inner.outputs(&self.reduce(views)?)
     }
@@ -386,25 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_shims_match_the_builder() {
-        let views = toy_views();
-        let spec = FitSpec::with_rank(2).per_view_dim(3).center(true);
-        #[allow(deprecated)]
-        let shim = Pipeline::with_pca(Box::new(PcaEstimator));
-        let built = Pipeline::builder()
-            .standardize()
-            .pca()
-            .build(Box::new(PcaEstimator));
-        let a = shim.fit(&views, &spec).unwrap().transform(&views).unwrap();
-        let b = built.fit(&views, &spec).unwrap().transform(&views).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn standardization_is_replayed_on_new_instances() {
         let views = toy_views();
-        #[allow(deprecated)]
-        let pipeline = Pipeline::new(Box::new(PcaEstimator));
+        let pipeline = Pipeline::builder()
+            .standardize()
+            .build(Box::new(PcaEstimator));
         let spec = FitSpec::with_rank(2).center(true).scale(true);
         let model = pipeline.fit(&views, &spec).unwrap();
         // Transforming the training views must agree with per-view transforms.
@@ -463,9 +420,10 @@ mod tests {
         let model = pipeline.fit(&views, &spec).unwrap();
         // The stage-less model delegates straight to the inner model.
         let direct = PcaEstimator.fit(&views, &spec).unwrap();
+        let cols = ColsView::from_matrices([&views[0], &views[0]]).unwrap();
         assert_eq!(
-            model.view_projection(0).is_some(),
-            direct.view_projection(0).is_some()
+            model.transform_view_cols(0, &cols).unwrap(),
+            direct.transform_view_cols(0, &cols).unwrap()
         );
         let state = model.save_state().unwrap();
         assert_eq!(state.index("stages/len").unwrap(), 0);

@@ -18,9 +18,8 @@
 use crate::{LinalgError, Matrix, Result};
 use std::cmp::Ordering;
 
-/// The `routine` named in this module's errors. The identifier predates the
-/// QL solver and is kept so that callers matching on it keep working.
-const ROUTINE: &str = "jacobi eigendecomposition";
+/// The `routine` named in this module's errors.
+const ROUTINE: &str = "symmetric eigendecomposition";
 
 /// Eigendecomposition `A = V diag(λ) Vᵀ` of a symmetric matrix.
 ///
@@ -574,7 +573,7 @@ mod tests {
             assert_eq!(
                 SymmetricEigen::new(&m).unwrap_err(),
                 LinalgError::NonFinite {
-                    routine: "jacobi eigendecomposition"
+                    routine: "symmetric eigendecomposition"
                 }
             );
             assert!(m.inverse_sqrt_spd(1e-12).is_err());

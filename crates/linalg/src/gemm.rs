@@ -13,7 +13,7 @@
 //!   row per reduction step);
 //! * the `microkernel` computes an `MR×NRV` output tile with all `MR·NRV`
 //!   accumulators live in registers, reading each packed value once. Its body indexes
-//!   fixed-size arrays only (`&[E; MR]` / `&[E; NRV]` obtained via `chunks_exact`),
+//!   fixed-size arrays only (`&[f64; MR]` / `&[f64; NRV]` obtained via `chunks_exact`),
 //!   so there are **no bounds checks inside the tile loop** and the `NRV`-wide lane
 //!   arithmetic autovectorizes.
 //!
@@ -22,11 +22,10 @@
 //! specialization `NR/2 = 4` when the whole output is at most `NR/2` columns wide
 //! (the `t_matmul_proj`-shaped serving projections), so narrow projections stop
 //! padding half the register file. The packed B-panel of one k-block is
-//! `KC·NRV·sizeof(E)` bytes — 16 KiB for the `NR=8` f64 tile, and proportionally
-//! smaller for the skinny and f32 instantiations — always L1-resident while each
-//! A micro-panel streams against it. The tile-width choice **never changes
-//! results**: each output element's reduction order depends only on `k`, not on
-//! which tile column the element lands in.
+//! `KC·NRV·8` bytes — 16 KiB for the `NR=8` tile and half that for the skinny
+//! one — always L1-resident while each A micro-panel streams against it. The
+//! tile-width choice **never changes results**: each output element's reduction
+//! order depends only on `k`, not on which tile column the element lands in.
 //!
 //! Edge tiles are handled by zero-padding the packed panels to full `MR`/`NRV` width
 //! and copying back only the valid lanes, so the hot loop never branches on tile
@@ -58,7 +57,7 @@
 //! operands straight from the caller's buffer (edge tiles still go through the
 //! packer). Same values in the same order — bit-identical to the packed path.
 //!
-//! ## Kernel modes and the determinism contract
+//! ## The determinism contract
 //!
 //! Every output element accumulates its reduction in **ascending index order**: the
 //! k-blocks are visited in ascending order, each micro-tile accumulates ascending
@@ -71,25 +70,11 @@
 //! [`ColsView`](crate::ColsView) serving path reuse the exact same schedule — and
 //! therefore produce the exact same bits — as a materialized matrix would.
 //!
-//! Two kernel modes share that schedule (see [`KernelMode`]):
-//!
-//! * **Strict** (default): multiply and add stay separate instructions, so SIMD and
-//!   scalar builds produce the same bits on every host. The band loop is compiled
-//!   for scalar, AVX2 and AVX-512F and dispatches to the widest the host has;
-//!   vector lanes are independent output elements, so the choice changes no bit.
-//! * **Fma** (opt-in via `TCCA_KERNEL_MODE=fma` or [`set_kernel_mode`]): the
-//!   microkernel contracts each `a·b + acc` into a fused multiply-add
-//!   (`vfmadd` under AVX2+FMA) — roughly twice the multiply throughput, but the
-//!   single rounding per FMA **changes bits relative to strict mode**. FMA results
-//!   are still deterministic *within the mode*: the contraction is applied
-//!   uniformly at every reduction step, so FMA output is bit-identical across
-//!   thread counts and runs — it just needs its **own** checksum baseline. CI
-//!   diffs each mode against its own baseline, never across modes.
-//!
-//! The mode is process-wide and fixed at first use (a per-call switch would let two
-//! replicas of one logical request disagree bit-wise mid-flight). Requesting FMA on
-//! a host without AVX2+FMA silently resolves to strict — the fallback must never
-//! masquerade as the FMA baseline.
+//! Multiply and add always stay separate f64 instructions (no fused
+//! multiply-add), so SIMD and scalar builds produce the same bits on every host.
+//! The band loop is compiled for scalar, AVX2 and AVX-512F and dispatches to the
+//! widest the host has; vector lanes are independent output elements, so the
+//! choice changes no bit.
 //!
 //! ## Reduction schedules
 //!
@@ -99,20 +84,18 @@
 //!   covariance-tensor build, the serving projections): each k-block's tile
 //!   starts from zero accumulators and its partial sum is *added* onto C, so an
 //!   element is `c + (Σ block₀) + (Σ block₁) + …`. Its bits depend on [`KC`],
-//!   never on the thread count or tile width, and it runs in the process
-//!   [`KernelMode`].
+//!   never on the thread count or tile width.
 //! * **Sequential** (the tensor kernels that must reproduce a scalar loop's
 //!   bits: [`MatrixView::matmul_sequential`](crate::MatrixView::matmul_sequential)
 //!   and [`MatrixView::t_matmul_khatri_rao_sequential`](crate::MatrixView::t_matmul_khatri_rao_sequential),
 //!   which carry the CP-ALS MTTKRP): each k-block's tile *loads* its
 //!   accumulators from C and stores them back, so an element is the single left
 //!   fold `((c + a₀b₀) + a₁b₁) + …` over all of `k`, for any `KC`, thread count
-//!   or tile width. It always runs strict, whatever the process mode: a fused
-//!   multiply-add would change the bits of the loop it reproduces, and those
-//!   kernels then keep one checksum in both baselines.
+//!   or tile width.
 
 use crate::{Matrix, MatrixView};
 use std::sync::atomic::{AtomicU64, Ordering};
+#[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
 
 /// Micro-tile rows: output rows whose accumulators stay live in registers.
@@ -121,8 +104,8 @@ pub const MR: usize = 4;
 /// for general shapes. The dispatcher instantiates `NR/2`-wide tiles for outputs
 /// that are at most `NR/2` columns wide.
 pub const NR: usize = 8;
-/// Reduction block depth: one packed `KC×NRV` B-panel (`KC·NRV·sizeof(E)` bytes —
-/// at most 16 KiB for the widest f64 tile) stays L1-resident while each A
+/// Reduction block depth: one packed `KC×NRV` B-panel (`KC·NRV·8` bytes — at
+/// most 16 KiB for the widest tile) stays L1-resident while each A
 /// micro-panel streams against it.
 pub const KC: usize = 256;
 /// Rows of `A` packed per block: `MC×KC` doubles (128 KiB) sit in L2 while the
@@ -138,75 +121,7 @@ const NR_SKINNY: usize = NR / 2;
 /// hierarchy (or, for tall operands, the heap).
 const B_ARENA_BUDGET: usize = 4 << 20;
 
-/// Process-wide floating-point contraction mode of the GEMM microkernel.
-///
-/// Fixed at first kernel use and never changed afterwards — see the module docs
-/// for why FMA is opt-in and how its separate checksum baseline works. The
-/// discriminants are stable (`Strict = 0`, `Fma = 1`) and surfaced as the
-/// `kernel/mode` stats gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum KernelMode {
-    /// Separate multiply and add instructions: bit-identical across SIMD/scalar
-    /// builds and every host. The default.
-    Strict = 0,
-    /// Fused multiply-add contraction (`avx2,fma`): ~2× multiply throughput,
-    /// different bits than strict, deterministic within the mode.
-    Fma = 1,
-}
-
-static MODE: OnceLock<KernelMode> = OnceLock::new();
 static SHARED_PACK_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Environment variable selecting the kernel mode (`strict` or `fma`), read once
-/// per process at first kernel use. Takes precedence over [`set_kernel_mode`].
-pub const ENV_KERNEL_MODE: &str = "TCCA_KERNEL_MODE";
-
-fn mode_from_env() -> Option<KernelMode> {
-    match std::env::var(ENV_KERNEL_MODE)
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "fma" => Some(KernelMode::Fma),
-        "strict" => Some(KernelMode::Strict),
-        _ => None,
-    }
-}
-
-/// Clamp a requested mode to what the host can actually run: FMA without
-/// AVX2+FMA hardware resolves to strict rather than producing strict bits under
-/// an FMA label.
-fn clamp_to_host(mode: KernelMode) -> KernelMode {
-    match mode {
-        KernelMode::Strict => KernelMode::Strict,
-        KernelMode::Fma => {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return KernelMode::Fma;
-            }
-            KernelMode::Strict
-        }
-    }
-}
-
-/// The process-wide [`KernelMode`], resolving it on first call: the
-/// [`ENV_KERNEL_MODE`] environment variable if set, else whatever
-/// [`set_kernel_mode`] requested before first use, else [`KernelMode::Strict`].
-pub fn kernel_mode() -> KernelMode {
-    *MODE.get_or_init(|| clamp_to_host(mode_from_env().unwrap_or(KernelMode::Strict)))
-}
-
-/// Explicitly opt in to a kernel mode (the builder-API counterpart of
-/// `TCCA_KERNEL_MODE`). Returns the mode the process actually ends up in, which
-/// may differ from the request when the environment variable overrides it, the
-/// mode was already fixed by an earlier kernel call, or the host lacks FMA.
-pub fn set_kernel_mode(requested: KernelMode) -> KernelMode {
-    *MODE.get_or_init(|| clamp_to_host(mode_from_env().unwrap_or(requested)))
-}
 
 /// Lifetime count of packed B-panels a row band consumed without having packed
 /// them itself — the duplicated O(k·n) packing work the shared arena eliminated.
@@ -215,58 +130,19 @@ pub fn shared_pack_hits() -> u64 {
     SHARED_PACK_HITS.load(Ordering::Relaxed)
 }
 
-/// The scalar element type the engine is instantiated over: `f64` everywhere, and
-/// `f32` for the opt-in reduced-precision serving path. `madd` keeps multiply and
-/// add as separate roundings (strict mode); `fmadd` contracts them into one
-/// (`mul_add` compiles to a fused instruction inside the `avx2,fma` band).
-pub(crate) trait Element:
-    Copy + Send + Sync + PartialEq + std::ops::Add<Output = Self> + 'static
-{
-    /// Additive identity, used to zero accumulators and pad edge tiles.
-    const ZERO: Self;
-    /// `self + a * b` with two roundings (strict mode).
-    fn madd(self, a: Self, b: Self) -> Self;
-    /// `self + a * b` with a single rounding (FMA mode).
-    fn fmadd(self, a: Self, b: Self) -> Self;
-}
-
-impl Element for f64 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn madd(self, a: Self, b: Self) -> Self {
-        self + a * b
-    }
-    #[inline(always)]
-    fn fmadd(self, a: Self, b: Self) -> Self {
-        a.mul_add(b, self)
-    }
-}
-
-impl Element for f32 {
-    const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn madd(self, a: Self, b: Self) -> Self {
-        self + a * b
-    }
-    #[inline(always)]
-    fn fmadd(self, a: Self, b: Self) -> Self {
-        a.mul_add(b, self)
-    }
-}
-
 /// Packing callback: `pack(dst, first, valid, p0, kc)` fills `dst` (length
 /// `kc * MR` for A sources, `kc * NRV` for B sources — B packers derive the lane
 /// width from `dst.len() / kc` so one packer serves every tile instantiation)
 /// with the operand values for lanes `first..first + valid` over reduction
 /// indices `p0..p0 + kc`, laid out lane-fastest (`dst[step * LANES + lane]`).
 /// Lanes `>= valid` must be zeroed.
-pub(crate) type Pack<'a, E> = &'a (dyn Fn(&mut [E], usize, usize, usize, usize) + Sync);
+pub(crate) type Pack<'a> = &'a (dyn Fn(&mut [f64], usize, usize, usize, usize) + Sync);
 
 /// How the band loop obtains the left operand's micro-panels.
 #[derive(Clone, Copy)]
-pub(crate) enum ASource<'a, E> {
+pub(crate) enum ASource<'a> {
     /// Copy micro-panels through the packer — the general case.
-    Packed(Pack<'a, E>),
+    Packed(Pack<'a>),
     /// The operand is already lane-fastest in memory: lanes `first..first + MR`
     /// at reduction step `p` live at `data[p * stride + first..][..MR]` (the
     /// `Aᵀ` operand of `t_matmul`, where `stride` is the row length ≥ `m`).
@@ -275,65 +151,47 @@ pub(crate) enum ASource<'a, E> {
     /// wins.
     Strided {
         /// The operand's backing storage in step-major, lane-fastest layout.
-        data: &'a [E],
+        data: &'a [f64],
         /// Elements between consecutive reduction steps.
         stride: usize,
         /// Fallback packer describing the same operand.
-        pack: Pack<'a, E>,
+        pack: Pack<'a>,
     },
 }
 
 /// How the driver splits each output element's reduction (see the module docs).
-/// The sequential schedule has no FMA variant: it exists to reproduce the bits
-/// of a scalar multiply-then-add loop.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Schedule {
-    /// Strict arithmetic, one partial sum per k-block added onto C.
+    /// One partial sum per k-block added onto C.
     Blocked,
-    /// [`Schedule::Blocked`] with every `a·b + acc` contracted to one FMA.
-    BlockedFma,
-    /// Strict arithmetic, accumulators loaded from C at each k-block and stored
-    /// back: one left fold over the whole reduction.
+    /// Accumulators loaded from C at each k-block and stored back: one left fold
+    /// over the whole reduction.
     Sequential,
 }
 
-/// One reduction step of an `MR×NRV` tile: `acc[i][j] (+)= a[i] · b[j]`, where
-/// `(+)` is a separate multiply-and-add in strict mode (`FMA = false`) and a
-/// fused contraction in FMA mode. Fixed-size array inputs keep the body free of
+/// One reduction step of an `MR×NRV` tile: `acc[i][j] += a[i] · b[j]`, a
+/// separate multiply and add. Fixed-size array inputs keep the body free of
 /// bounds checks; the `j` loop vectorizes over the element lanes.
 #[inline(always)]
-fn tile_step<E: Element, const NRV: usize, const FMA: bool>(
-    a: &[E; MR],
-    b: &[E; NRV],
-    acc: &mut [[E; NRV]; MR],
-) {
+fn tile_step<const NRV: usize>(a: &[f64; MR], b: &[f64; NRV], acc: &mut [[f64; NRV]; MR]) {
     for i in 0..MR {
         let ai = a[i];
         for j in 0..NRV {
-            acc[i][j] = if FMA {
-                acc[i][j].fmadd(ai, b[j])
-            } else {
-                acc[i][j].madd(ai, b[j])
-            };
+            acc[i][j] += ai * b[j];
         }
     }
 }
 
 /// Compute one `MR×NRV` tile from packed panels: `kc` ascending reduction steps
 /// of [`tile_step`]. `inline(always)` so the caller's target features (the AVX
-/// bands below) apply to the body — that is what turns the `NRV` lanes into ymm
-/// `vmulpd`/`vaddpd` (strict) or `vfmadd` (FMA) arithmetic.
+/// bands below) apply to the body — that is what turns the `NRV` lanes into
+/// `vmulpd`/`vaddpd` vector arithmetic.
 #[inline(always)]
-fn microkernel<E: Element, const NRV: usize, const FMA: bool>(
-    kc: usize,
-    ap: &[E],
-    bp: &[E],
-    acc: &mut [[E; NRV]; MR],
-) {
+fn microkernel<const NRV: usize>(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NRV]; MR]) {
     for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NRV)).take(kc) {
-        let a: &[E; MR] = a.try_into().expect("packed A lane width");
-        let b: &[E; NRV] = b.try_into().expect("packed B lane width");
-        tile_step::<E, NRV, FMA>(a, b, acc);
+        let a: &[f64; MR] = a.try_into().expect("packed A lane width");
+        let b: &[f64; NRV] = b.try_into().expect("packed B lane width");
+        tile_step::<NRV>(a, b, acc);
     }
 }
 
@@ -342,19 +200,19 @@ fn microkernel<E: Element, const NRV: usize, const FMA: bool>(
 /// `ASource::Strided` operands. Identical values in identical order, so the
 /// bits match the packed variant exactly.
 #[inline(always)]
-fn microkernel_strided<E: Element, const NRV: usize, const FMA: bool>(
+fn microkernel_strided<const NRV: usize>(
     kc: usize,
-    a: &[E],
+    a: &[f64],
     stride: usize,
-    bp: &[E],
-    acc: &mut [[E; NRV]; MR],
+    bp: &[f64],
+    acc: &mut [[f64; NRV]; MR],
 ) {
     for (p, b) in bp.chunks_exact(NRV).take(kc).enumerate() {
-        let a: &[E; MR] = a[p * stride..p * stride + MR]
+        let a: &[f64; MR] = a[p * stride..p * stride + MR]
             .try_into()
             .expect("strided A lane width");
-        let b: &[E; NRV] = b.try_into().expect("packed B lane width");
-        tile_step::<E, NRV, FMA>(a, b, acc);
+        let b: &[f64; NRV] = b.try_into().expect("packed B lane width");
+        tile_step::<NRV>(a, b, acc);
     }
 }
 
@@ -376,8 +234,8 @@ pub(crate) fn gemm(
     out: &mut Matrix,
     threads: usize,
     upper_only: bool,
-    pack_a: Pack<'_, f64>,
-    pack_b: Pack<'_, f64>,
+    pack_a: Pack<'_>,
+    pack_b: Pack<'_>,
 ) {
     gemm_a(
         m,
@@ -401,76 +259,36 @@ pub(crate) fn gemm_a(
     out: &mut Matrix,
     threads: usize,
     upper_only: bool,
-    a: ASource<'_, f64>,
-    pack_b: Pack<'_, f64>,
+    a: ASource<'_>,
+    pack_b: Pack<'_>,
 ) {
-    debug_assert_eq!(out.shape(), (m, n));
-    gemm_slice::<f64>(m, n, k, out.as_mut_slice(), threads, upper_only, a, pack_b);
-}
-
-/// The element-generic entry point (the f32 serving path calls this directly with
-/// an `f32` output slice). Resolves the process kernel mode and dispatches to the
-/// tile instantiation matching the output width.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_slice<E: Element>(
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [E],
-    threads: usize,
-    upper_only: bool,
-    a: ASource<'_, E>,
-    pack_b: Pack<'_, E>,
-) {
-    let fma = kernel_mode() == KernelMode::Fma;
-    gemm_slice_mode(m, n, k, out, threads, upper_only, fma, a, pack_b);
-}
-
-/// [`gemm_slice`] with the contraction mode passed explicitly — the seam the unit
-/// tests use to exercise the FMA build regardless of the process-wide mode.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_slice_mode<E: Element>(
-    m: usize,
-    n: usize,
-    k: usize,
-    out: &mut [E],
-    threads: usize,
-    upper_only: bool,
-    fma: bool,
-    a: ASource<'_, E>,
-    pack_b: Pack<'_, E>,
-) {
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let schedule = if fma {
-        Schedule::BlockedFma
-    } else {
-        Schedule::Blocked
-    };
-    dispatch_width(m, n, k, out, threads, upper_only, schedule, a, pack_b);
+    dispatch_width(
+        m,
+        n,
+        k,
+        out,
+        threads,
+        upper_only,
+        Schedule::Blocked,
+        a,
+        pack_b,
+    );
 }
 
 /// `out[m×n] += Aᵒᵖ[m×k] · Bᵒᵖ[k×n]` under the [`Schedule::Sequential`]
-/// reduction: every output element is the strict left fold
-/// `((c + a₀b₀) + a₁b₁) + …` over the whole of `k`, whatever the thread count,
-/// tile width or process [`KernelMode`]. The entry point for callers that must
-/// reproduce a scalar loop's bits (the MTTKRP kernels).
+/// reduction: every output element is the left fold `((c + a₀b₀) + a₁b₁) + …`
+/// over the whole of `k`, whatever the thread count or tile width. The entry
+/// point for callers that must reproduce a scalar loop's bits (the MTTKRP
+/// kernels).
 pub(crate) fn gemm_sequential(
     m: usize,
     n: usize,
     k: usize,
     out: &mut Matrix,
     threads: usize,
-    a: ASource<'_, f64>,
-    pack_b: Pack<'_, f64>,
+    a: ASource<'_>,
+    pack_b: Pack<'_>,
 ) {
-    debug_assert_eq!(out.shape(), (m, n));
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let out = out.as_mut_slice();
     dispatch_width(
         m,
         n,
@@ -488,21 +306,26 @@ pub(crate) fn gemm_sequential(
 /// instantiate NR/2-wide tiles instead of padding. Never affects bits — each
 /// element's reduction order is a function of k alone.
 #[allow(clippy::too_many_arguments)]
-fn dispatch_width<E: Element>(
+fn dispatch_width(
     m: usize,
     n: usize,
     k: usize,
-    out: &mut [E],
+    out: &mut Matrix,
     threads: usize,
     upper_only: bool,
     schedule: Schedule,
-    a: ASource<'_, E>,
-    pack_b: Pack<'_, E>,
+    a: ASource<'_>,
+    pack_b: Pack<'_>,
 ) {
+    debug_assert_eq!(out.shape(), (m, n));
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let out = out.as_mut_slice();
     if n <= NR_SKINNY {
-        gemm_driver::<E, NR_SKINNY>(m, n, k, out, threads, upper_only, schedule, a, pack_b);
+        gemm_driver::<NR_SKINNY>(m, n, k, out, threads, upper_only, schedule, a, pack_b);
     } else {
-        gemm_driver::<E, NR>(m, n, k, out, threads, upper_only, schedule, a, pack_b);
+        gemm_driver::<NR>(m, n, k, out, threads, upper_only, schedule, a, pack_b);
     }
 }
 
@@ -512,16 +335,16 @@ fn dispatch_width<E: Element>(
 /// the worker threads), then the row bands consume it in parallel, walking the
 /// super-block's k-blocks in ascending order.
 #[allow(clippy::too_many_arguments)]
-fn gemm_driver<E: Element, const NRV: usize>(
+fn gemm_driver<const NRV: usize>(
     m: usize,
     n: usize,
     k: usize,
-    out: &mut [E],
+    out: &mut [f64],
     threads: usize,
     upper_only: bool,
     schedule: Schedule,
-    a: ASource<'_, E>,
-    pack_b: Pack<'_, E>,
+    a: ASource<'_>,
+    pack_b: Pack<'_>,
 ) {
     // Whole MR-blocks per thread band (a couple per thread for load balance); the
     // band boundary never splits a micro-tile, so each band is an independent
@@ -545,9 +368,9 @@ fn gemm_driver<E: Element, const NRV: usize>(
     // panel offsets are uniform; the last (shorter) block just leaves its tail
     // unread.
     let block_stride = n_panels * NRV * kc_max;
-    let sb_blocks =
-        (B_ARENA_BUDGET / (block_stride * std::mem::size_of::<E>()).max(1)).clamp(1, total_blocks);
-    let mut bp = vec![E::ZERO; sb_blocks * block_stride];
+    let sb_blocks = (B_ARENA_BUDGET / (block_stride * std::mem::size_of::<f64>()).max(1))
+        .clamp(1, total_blocks);
+    let mut bp = vec![0.0; sb_blocks * block_stride];
 
     let mut b0 = 0;
     while b0 < total_blocks {
@@ -567,13 +390,13 @@ fn gemm_driver<E: Element, const NRV: usize>(
             // Every band beyond the first consumes panels it did not pack.
             SHARED_PACK_HITS.fetch_add((nb * n_panels * (n_bands - 1)) as u64, Ordering::Relaxed);
         }
-        let arena: &[E] = &bp[..nb * block_stride];
+        let arena: &[f64] = &bp[..nb * block_stride];
         parallel::for_each_chunk_mut(out, band_rows * n, threads, |band, chunk| {
-            let mut ap = vec![E::ZERO; MC * kc_max];
+            let mut ap = vec![0.0; MC * kc_max];
             for bi in 0..nb {
                 let p0 = sb_p0 + bi * KC;
                 let kc = KC.min(k - p0);
-                band_kblock::<E, NRV>(
+                band_kblock::<NRV>(
                     schedule,
                     band * band_rows,
                     chunk,
@@ -594,82 +417,72 @@ fn gemm_driver<E: Element, const NRV: usize>(
 /// One thread band's share of one k-block: rows `band_i0..band_i0 + c.len() / n`
 /// against the shared packed B arena (`bp`, panel `jp` at offset
 /// `jp * NRV * KC.min(k)`). Dispatches once to the widest SIMD build of the loop
-/// the host supports; every strict build runs the identical accumulation schedule
-/// (vector lanes are independent output elements), so the strict dispatch never
-/// affects a single bit. The FMA build is only reachable under
-/// `Schedule::BlockedFma`, chosen only when the process mode resolved to
-/// [`KernelMode::Fma`] (which implies AVX2+FMA hardware).
+/// the host supports; every build runs the identical accumulation schedule
+/// (vector lanes are independent output elements), so the dispatch never affects
+/// a single bit.
 #[allow(clippy::too_many_arguments)]
-fn band_kblock<E: Element, const NRV: usize>(
+fn band_kblock<const NRV: usize>(
     schedule: Schedule,
     band_i0: usize,
-    c: &mut [E],
+    c: &mut [f64],
     n: usize,
     p0: usize,
     kc: usize,
     upper_only: bool,
-    a: ASource<'_, E>,
-    bp: &[E],
-    ap: &mut [E],
+    a: ASource<'_>,
+    bp: &[f64],
+    ap: &mut [f64],
 ) {
     let seq = schedule == Schedule::Sequential;
     #[cfg(target_arch = "x86_64")]
     {
         static HAS_AVX512: OnceLock<bool> = OnceLock::new();
         static HAS_AVX2: OnceLock<bool> = OnceLock::new();
-        if schedule == Schedule::BlockedFma {
-            // SAFETY: `BlockedFma` is only selected after `clamp_to_host` (or the
-            // unit tests) verified AVX2+FMA at runtime.
-            unsafe {
-                band_kblock_fma::<E, NRV>(band_i0, c, n, p0, kc, upper_only, false, a, bp, ap);
-            }
-            return;
-        }
         if *HAS_AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f")) {
             // SAFETY: AVX-512F support was verified at runtime just above.
             unsafe {
-                band_kblock_avx512::<E, NRV>(band_i0, c, n, p0, kc, upper_only, seq, a, bp, ap);
+                band_kblock_avx512::<NRV>(band_i0, c, n, p0, kc, upper_only, seq, a, bp, ap);
             }
             return;
         }
         if *HAS_AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2")) {
             // SAFETY: AVX2 support was verified at runtime just above.
             unsafe {
-                band_kblock_avx2::<E, NRV>(band_i0, c, n, p0, kc, upper_only, seq, a, bp, ap);
+                band_kblock_avx2::<NRV>(band_i0, c, n, p0, kc, upper_only, seq, a, bp, ap);
             }
             return;
         }
     }
-    // Non-x86 hosts always resolve to the strict scalar build.
-    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, seq, a, bp, ap);
+    // Hosts without AVX2 run the scalar build.
+    band_kblock_impl::<NRV>(band_i0, c, n, p0, kc, upper_only, seq, a, bp, ap);
 }
 
 /// The band loop recompiled with 256-bit vectors enabled: the `inline(always)`
 /// body below (microkernels included) picks up the target feature, so the `NRV`
-/// lanes become ymm arithmetic. No FMA contraction — mul and add stay separate —
-/// so the results are bit-identical to the scalar build.
+/// lanes become ymm arithmetic. Multiply and add stay separate, so the results
+/// are bit-identical to the scalar build.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn band_kblock_avx2<E: Element, const NRV: usize>(
+unsafe fn band_kblock_avx2<const NRV: usize>(
     band_i0: usize,
-    c: &mut [E],
+    c: &mut [f64],
     n: usize,
     p0: usize,
     kc: usize,
     upper_only: bool,
     sequential: bool,
-    a: ASource<'_, E>,
-    bp: &[E],
-    ap: &mut [E],
+    a: ASource<'_>,
+    bp: &[f64],
+    ap: &mut [f64],
 ) {
-    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, sequential, a, bp, ap);
+    band_kblock_impl::<NRV>(band_i0, c, n, p0, kc, upper_only, sequential, a, bp, ap);
 }
 
 /// The band loop recompiled with 512-bit vectors enabled: an `NR = 8` f64 tile
 /// row becomes one zmm register, so a reduction step issues half the multiply and
-/// add instructions of the ymm build. Still no FMA contraction, so the results
-/// are bit-identical to the scalar and AVX2 builds.
+/// add instructions of the ymm build. Multiply and add stay separate, so the
+/// results are bit-identical to the scalar and AVX2 builds.
 ///
 /// # Safety
 ///
@@ -677,55 +490,34 @@ unsafe fn band_kblock_avx2<E: Element, const NRV: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn band_kblock_avx512<E: Element, const NRV: usize>(
+unsafe fn band_kblock_avx512<const NRV: usize>(
     band_i0: usize,
-    c: &mut [E],
+    c: &mut [f64],
     n: usize,
     p0: usize,
     kc: usize,
     upper_only: bool,
     sequential: bool,
-    a: ASource<'_, E>,
-    bp: &[E],
-    ap: &mut [E],
+    a: ASource<'_>,
+    bp: &[f64],
+    ap: &mut [f64],
 ) {
-    band_kblock_impl::<E, NRV, false>(band_i0, c, n, p0, kc, upper_only, sequential, a, bp, ap);
-}
-
-/// The band loop recompiled with AVX2 **and** FMA enabled, instantiating the
-/// contracted microkernel: each `a·b + acc` becomes one `vfmadd`. Different bits
-/// than strict mode, deterministic within the mode (see module docs).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn band_kblock_fma<E: Element, const NRV: usize>(
-    band_i0: usize,
-    c: &mut [E],
-    n: usize,
-    p0: usize,
-    kc: usize,
-    upper_only: bool,
-    sequential: bool,
-    a: ASource<'_, E>,
-    bp: &[E],
-    ap: &mut [E],
-) {
-    band_kblock_impl::<E, NRV, true>(band_i0, c, n, p0, kc, upper_only, sequential, a, bp, ap);
+    band_kblock_impl::<NRV>(band_i0, c, n, p0, kc, upper_only, sequential, a, bp, ap);
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
+fn band_kblock_impl<const NRV: usize>(
     band_i0: usize,
-    c: &mut [E],
+    c: &mut [f64],
     n: usize,
     p0: usize,
     kc: usize,
     upper_only: bool,
     sequential: bool,
-    a: ASource<'_, E>,
-    bp: &[E],
-    ap: &mut [E],
+    a: ASource<'_>,
+    bp: &[f64],
+    ap: &mut [f64],
 ) {
     let band_m = c.len() / n;
     let n_panels = n.div_ceil(NRV);
@@ -784,7 +576,7 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                     let base = (row0 + ii) * n + j0;
                     prefetch(&c[base..base + nv]);
                 }
-                let mut acc = [[E::ZERO; NRV]; MR];
+                let mut acc = [[0.0; NRV]; MR];
                 if sequential {
                     // Carry each element's running sum in from C, so the tile
                     // continues the fold where the previous k-block left it.
@@ -796,7 +588,7 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                 match a {
                     ASource::Strided { data, stride, .. } if mv == MR => {
                         let first = band_i0 + row0;
-                        microkernel_strided::<E, NRV, FMA>(
+                        microkernel_strided::<NRV>(
                             kc,
                             &data[p0 * stride + first..],
                             stride,
@@ -804,7 +596,7 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                             &mut acc,
                         );
                     }
-                    _ => microkernel::<E, NRV, FMA>(
+                    _ => microkernel::<NRV>(
                         kc,
                         &ap[ib * MR * kc..(ib + 1) * MR * kc],
                         bp_panel,
@@ -818,7 +610,7 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
                         row.copy_from_slice(&acc_row[..nv]);
                     } else {
                         for (o, v) in row.iter_mut().zip(acc_row[..nv].iter()) {
-                            *o = *o + *v;
+                            *o += *v;
                         }
                     }
                 }
@@ -835,14 +627,14 @@ fn band_kblock_impl<E: Element, const NRV: usize, const FMA: bool>(
 /// tile's read-modify-write of an output larger than the cache. A hint only:
 /// it changes no value.
 #[inline(always)]
-fn prefetch<E>(row: &[E]) {
+fn prefetch(row: &[f64]) {
     #[cfg(target_arch = "x86_64")]
     for e in [row.first(), row.last()].into_iter().flatten() {
         // SAFETY: `_mm_prefetch` never faults and reads nothing the program can
         // observe; the pointer comes from a live reference.
         unsafe {
             std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                (e as *const E).cast(),
+                (e as *const f64).cast(),
             );
         }
     }
@@ -1033,18 +825,17 @@ mod tests {
         out
     }
 
-    fn run_mode(a: &Matrix, b: &Matrix, threads: usize, fma: bool) -> Matrix {
+    fn run(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let mut out = Matrix::zeros(m, n);
-        gemm_slice_mode(
+        gemm(
             m,
             n,
             k,
-            out.as_mut_slice(),
+            &mut out,
             threads,
             false,
-            fma,
-            ASource::Packed(&pack_rows(a)),
+            &pack_rows(a),
             &pack_panel_rows(b),
         );
         out
@@ -1054,13 +845,12 @@ mod tests {
     fn run_t_strided(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
         let (m, k, n) = (a.cols(), a.rows(), b.cols());
         let mut out = Matrix::zeros(m, n);
-        gemm_slice_mode(
+        gemm_a(
             m,
             n,
             k,
-            out.as_mut_slice(),
+            &mut out,
             threads,
-            false,
             false,
             ASource::Strided {
                 data: a.as_slice(),
@@ -1073,40 +863,13 @@ mod tests {
     }
 
     #[test]
-    fn fma_mode_matches_strict_within_tolerance_and_is_thread_deterministic() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !(std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma"))
-            {
-                return;
-            }
-            let a = sample(2 * MC + 3, KC + 5, 0.3);
-            let b = sample(KC + 5, 2 * NR + 1, 0.7);
-            let strict = run_mode(&a, &b, 1, false);
-            let fma1 = run_mode(&a, &b, 1, true);
-            let fma4 = run_mode(&a, &b, 4, true);
-            // FMA is deterministic within the mode: thread counts never change bits.
-            assert_eq!(fma1, fma4);
-            // And it computes the same product up to the contraction's rounding.
-            for (x, y) in strict.as_slice().iter().zip(fma1.as_slice()) {
-                let scale = (KC + 5) as f64;
-                assert!(
-                    (x - y).abs() <= 1e-12 * scale * x.abs().max(1.0),
-                    "strict {x} vs fma {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn skinny_tile_dispatch_is_bit_identical_to_wide() {
         // n <= NR/2 takes the skinny driver; padding the same operand out to a
         // wide shape and slicing back must give the exact same bits, because the
         // per-element reduction order is independent of the tile width.
         let a = sample(3 * MR + 2, KC + 3, 0.1);
         let b_narrow = sample(KC + 3, NR_SKINNY, 0.2);
-        let narrow = run_mode(&a, &b_narrow, 2, false);
+        let narrow = run(&a, &b_narrow, 2);
         // Same columns through the wide tile: append extra columns, then compare
         // only the original ones.
         let mut wide_data = Vec::new();
@@ -1117,7 +880,7 @@ mod tests {
             }
         }
         let b_wide = Matrix::from_vec(b_narrow.rows(), NR_SKINNY + NR, wide_data).unwrap();
-        let wide = run_mode(&a, &b_wide, 2, false);
+        let wide = run(&a, &b_wide, 2);
         for i in 0..narrow.rows() {
             assert_eq!(
                 narrow.row(i),
@@ -1126,21 +889,21 @@ mod tests {
             );
         }
         // Within a single k-block the blocked schedule degenerates to the naive
-        // ascending loop, so strict mode matches the triple loop bit for bit.
+        // ascending loop, so the engine matches the triple loop bit for bit.
         let a1 = sample(3 * MR + 2, KC - 5, 0.1);
         let b1 = sample(KC - 5, NR_SKINNY, 0.2);
-        assert_eq!(run_mode(&a1, &b1, 2, false), naive(&a1, &b1));
+        assert_eq!(run(&a1, &b1, 2), naive(&a1, &b1));
     }
 
     #[test]
     fn dispatched_simd_build_matches_the_scalar_triple_loop() {
         // Within one k-block each element is a plain ascending sum, so whichever
-        // strict SIMD build the host dispatches to (scalar, AVX2, AVX-512F) must
+        // SIMD build the host dispatches to (scalar, AVX2, AVX-512F) must
         // reproduce the naive loop bit for bit, wide and skinny tiles alike.
         for n in [2 * NR + 3, NR, NR_SKINNY - 1] {
             let a = sample(2 * MC + 5, KC - 3, 0.6);
             let b = sample(KC - 3, n, 0.9);
-            assert_eq!(run_mode(&a, &b, 2, false), naive(&a, &b), "n = {n}");
+            assert_eq!(run(&a, &b, 2), naive(&a, &b), "n = {n}");
         }
     }
 
@@ -1157,15 +920,14 @@ mod tests {
             let direct = run_t_strided(&a, &b, 2);
             // Packed reference through the same packer the fallback uses.
             let mut packed = Matrix::zeros(m, n);
-            gemm_slice_mode(
+            gemm(
                 m,
                 n,
                 k,
-                packed.as_mut_slice(),
+                &mut packed,
                 2,
                 false,
-                false,
-                ASource::Packed(&pack_cols(&a)),
+                &pack_cols(&a),
                 &pack_panel_rows(&b),
             );
             assert_eq!(direct, packed, "direct vs packed at {k}x{m}x{n}");
@@ -1177,63 +939,13 @@ mod tests {
         let before = shared_pack_hits();
         let a = sample(8 * MR * 4, 64, 0.5);
         let b = sample(64, 2 * NR, 0.9);
-        let multi = run_mode(&a, &b, 4, false);
+        let multi = run(&a, &b, 4);
         assert!(
             shared_pack_hits() > before,
             "multi-band run must reuse shared panels"
         );
         // And sharing the arena never changes bits vs a single band.
-        assert_eq!(multi, run_mode(&a, &b, 1, false));
-    }
-
-    #[test]
-    fn f32_instantiation_tracks_f64_within_tolerance() {
-        let a64 = sample(37, 129, 0.2);
-        let b64 = sample(129, 3, 0.6);
-        let a32: Vec<f32> = a64.as_slice().iter().map(|&v| v as f32).collect();
-        let b32: Vec<f32> = b64.as_slice().iter().map(|&v| v as f32).collect();
-        let (m, k, n) = (37, 129, 3);
-        let mut out32 = vec![0.0f32; m * n];
-        let pack_a = move |dst: &mut [f32], i0: usize, valid: usize, p0: usize, kc: usize| {
-            if valid < MR {
-                dst.fill(0.0);
-            }
-            for ii in 0..valid {
-                for p in 0..kc {
-                    dst[p * MR + ii] = a32[(i0 + ii) * 129 + p0 + p];
-                }
-            }
-        };
-        let pack_b = move |dst: &mut [f32], j0: usize, valid: usize, p0: usize, kc: usize| {
-            let w = dst.len() / kc;
-            if valid < w {
-                dst.fill(0.0);
-            }
-            for p in 0..kc {
-                for jj in 0..valid {
-                    dst[p * w + jj] = b32[(p0 + p) * n + j0 + jj];
-                }
-            }
-        };
-        gemm_slice_mode(
-            m,
-            n,
-            k,
-            &mut out32,
-            2,
-            false,
-            false,
-            ASource::Packed(&pack_a),
-            &pack_b,
-        );
-        let reference = naive(&a64, &b64);
-        for (i, (&got, &want)) in out32.iter().zip(reference.as_slice().iter()).enumerate() {
-            let tol = 4.0 * k as f64 * f64::from(f32::EPSILON);
-            assert!(
-                (f64::from(got) - want).abs() <= tol * want.abs().max(1.0),
-                "element {i}: f32 {got} vs f64 {want}"
-            );
-        }
+        assert_eq!(multi, run(&a, &b, 1));
     }
 
     #[test]
@@ -1294,13 +1006,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn kernel_mode_resolves_once() {
-        let first = kernel_mode();
-        // Whatever the process resolved to, later requests cannot change it.
-        assert_eq!(set_kernel_mode(KernelMode::Fma), first);
-        assert_eq!(kernel_mode(), first);
     }
 }

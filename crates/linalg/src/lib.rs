@@ -42,7 +42,7 @@ pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use exact::{ExactSum, JointMoments};
-pub use matrix::{Matrix, MatrixF32};
+pub use matrix::Matrix;
 pub use ops::{dot, norm2, normalize};
 pub use qr::thin_qr;
 pub use sketch::{gaussian_matrix, nystrom_eig, randomized_covariance_eig, LowRankEig, SketchRng};

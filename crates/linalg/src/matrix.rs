@@ -355,83 +355,6 @@ impl fmt::Debug for Matrix {
     }
 }
 
-/// A dense, row-major matrix of `f32` values — the storage behind the opt-in
-/// reduced-precision serving path.
-///
-/// Models and on-disk formats stay `f64`; an `MatrixF32` only ever exists as a
-/// narrowed *shadow* of an `f64` factor matrix (see `ModelStore`'s f32 shadow
-/// cache) or as the intermediate output of the f32 GEMM instantiation, and every
-/// value served from it is governed by the documented f32 tolerance contract.
-#[derive(Clone, PartialEq)]
-pub struct MatrixF32 {
-    rows: usize,
-    cols: usize,
-    data: Vec<f32>,
-}
-
-impl MatrixF32 {
-    /// Narrow an `f64` matrix to `f32`, rounding each entry to nearest.
-    pub fn from_f64(src: &Matrix) -> Self {
-        Self {
-            rows: src.rows,
-            cols: src.cols,
-            data: src.data.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Build from a row-major `f32` vector; errors if the length mismatches.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::InvalidArgument(format!(
-                "data length {} does not match shape {}x{}",
-                data.len(),
-                rows,
-                cols
-            )));
-        }
-        Ok(Self { rows, cols, data })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Row `i` as a contiguous slice.
-    pub fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// The whole backing buffer in row-major order.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Widen back to an `f64` [`Matrix`] (exact — every `f32` is representable).
-    pub fn to_f64(&self) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f64::from(v)).collect(),
-        }
-    }
-
-    /// Heap bytes held by the backing buffer.
-    pub fn memory_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -460,7 +460,7 @@ impl Matrix {
 /// [`crate::gemm`]): every output element is the left fold
 /// `((0 + x₀y₀) + x₁y₁) + …` over the whole reduction in ascending order, each
 /// product rounded before it is added, so the result has the bits of the
-/// textbook scalar loop for every thread count and in both kernel modes. They
+/// textbook scalar loop for every thread count. They
 /// exist for the CP-ALS MTTKRP, which views a tensor's flat storage in place as
 /// the `F × d₀` row-major matrix of its mode-0 fibres.
 impl MatrixView<'_> {

@@ -26,7 +26,7 @@
 //! fallback paths call [`note_input_stitch`]). Both are monotone; tests assert
 //! deltas across the path under test.
 
-use crate::{gemm, LinalgError, Matrix, MatrixF32, Result};
+use crate::{gemm, LinalgError, Matrix, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static MATRIX_CLONES: AtomicUsize = AtomicUsize::new(0);
@@ -249,55 +249,6 @@ impl<'a> ColsView<'a> {
         Ok(out)
     }
 
-    /// The reduced-precision counterpart of [`ColsView::shifted_t_matmul`]: the
-    /// same zero-copy projection, but narrowing each borrowed input value to
-    /// `f32` during the pack and running the `f32` instantiation of the blocked
-    /// engine against a pre-narrowed factor matrix (the model's cached f32
-    /// shadow). The result is widened back to `f64` for the wire.
-    ///
-    /// ## Tolerance contract
-    ///
-    /// Outputs are **not** bit-identical to the f64 path. Each output element is
-    /// a `k`-term f32 dot product of narrowed operands, so its relative error
-    /// against the f64 reference is bounded by the standard recursive-summation
-    /// bound — conservatively `4·k·ε₃₂` of the accumulated magnitude, with
-    /// `ε₃₂ = f32::EPSILON ≈ 1.19e-7` (property-tested in
-    /// `crates/linalg/tests/properties.rs`). Callers opt in per request; the
-    /// default serving path stays f64 and bit-exact.
-    pub fn shifted_t_matmul_f32(&self, shift: Option<&[f32]>, b: &MatrixF32) -> Result<Matrix> {
-        if self.rows != b.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "shifted_t_matmul_f32",
-                lhs: (self.rows, self.cols()),
-                rhs: b.shape(),
-            });
-        }
-        if let Some(s) = shift {
-            if s.len() != self.rows {
-                return Err(LinalgError::InvalidArgument(format!(
-                    "shift has {} entries but the view has {} rows",
-                    s.len(),
-                    self.rows
-                )));
-            }
-        }
-        let (m, n, k) = (self.cols(), b.cols(), self.rows);
-        let mut out = vec![0.0f32; m * n];
-        let flops = m * n * k;
-        let pack_a = self.packer_f32(shift);
-        gemm::gemm_slice::<f32>(
-            m,
-            n,
-            k,
-            &mut out,
-            parallel::threads_for_work(flops),
-            false,
-            gemm::ASource::Packed(&pack_a),
-            &pack_panel_rows_f32(b),
-        );
-        Matrix::from_vec(m, n, out.into_iter().map(f64::from).collect())
-    }
-
     /// Packing closure for the transposed left operand `(X − shift·1ᵀ)ᵀ`: lane `i`
     /// (a global column of the view) at step `p` (a feature row) reads
     /// `part[p][local] − shift[p]` straight from the borrowed part.
@@ -323,49 +274,6 @@ impl<'a> ColsView<'a> {
                     *d = self.parts[part].row(p0 + p)[local] - s;
                 }
             }
-        }
-    }
-
-    /// [`ColsView::packer`] narrowed to `f32`: each borrowed f64 value is rounded
-    /// to nearest once, then the (pre-narrowed) shift is subtracted in f32.
-    fn packer_f32<'s>(
-        &'s self,
-        shift: Option<&'s [f32]>,
-    ) -> impl Fn(&mut [f32], usize, usize, usize, usize) + Sync + 's {
-        move |dst, i0, valid, p0, kc| {
-            if valid < gemm::MR {
-                dst.fill(0.0);
-            }
-            let mut lanes = [(0usize, 0usize); gemm::MR];
-            for (ii, lane) in lanes.iter_mut().enumerate().take(valid) {
-                *lane = self.locate(i0 + ii);
-            }
-            for p in 0..kc {
-                let s = shift.map_or(0.0, |s| s[p0 + p]);
-                let dst_row = &mut dst[p * gemm::MR..p * gemm::MR + valid];
-                for (ii, d) in dst_row.iter_mut().enumerate() {
-                    let (part, local) = lanes[ii];
-                    *d = (self.parts[part].row(p0 + p)[local] as f32) - s;
-                }
-            }
-        }
-    }
-}
-
-/// B-panel packer over an [`MatrixF32`] — the f32 twin of
-/// [`gemm::pack_panel_rows`], with the lane width likewise derived from the
-/// destination slice.
-fn pack_panel_rows_f32(
-    b: &MatrixF32,
-) -> impl Fn(&mut [f32], usize, usize, usize, usize) + Sync + '_ {
-    move |dst, j0, valid, p0, kc| {
-        let w = dst.len() / kc;
-        if valid < w {
-            dst.fill(0.0);
-        }
-        for p in 0..kc {
-            let seg = &b.row(p0 + p)[j0..j0 + valid];
-            dst[p * w..p * w + valid].copy_from_slice(seg);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! Cholesky round-trips, SVD orthogonality, and whitening.
 
 use linalg::gemm::{KC, MC, MR, NR};
-use linalg::{center_rows, covariance, Cholesky, ColsView, Matrix, MatrixF32, Svd, SymmetricEigen};
+use linalg::{center_rows, covariance, Cholesky, ColsView, Matrix, Svd, SymmetricEigen};
 use proptest::prelude::*;
 
 /// Seeded pseudo-random matrix for the deterministic tile-boundary tests.
@@ -368,34 +368,6 @@ proptest! {
             }
         }
         prop_assert_eq!(zero_copy, centered.t_matmul(&proj).unwrap());
-    }
-
-    #[test]
-    fn f32_projection_tracks_f64_within_contract(
-        data in proptest::collection::vec(-3.0..3.0f64, 11 * 17),
-        pdata in proptest::collection::vec(-3.0..3.0f64, 11 * 3),
-        shift in proptest::collection::vec(-1.0..1.0f64, 11),
-    ) {
-        // The serving-tier tolerance contract: the f32 fast path stays within
-        // `4·k·ε₃₂` of the f64 result, *relative* to the f64 magnitude (floored
-        // at 1 so near-cancellations don't demand absolute precision f32 cannot
-        // carry). k = 11 is the reduction length here.
-        let x = Matrix::from_vec(11, 17, data).unwrap();
-        let proj = Matrix::from_vec(11, 3, pdata).unwrap();
-        let view = ColsView::from_matrices(std::iter::once(&x)).unwrap();
-        let exact = view.shifted_t_matmul(Some(&shift), &proj).unwrap();
-        let proj32 = MatrixF32::from_f64(&proj);
-        let shift32: Vec<f32> = shift.iter().map(|&s| s as f32).collect();
-        let approx = view.shifted_t_matmul_f32(Some(&shift32), &proj32).unwrap();
-        prop_assert_eq!(approx.shape(), exact.shape());
-        let tol = 4.0 * 11.0 * f64::from(f32::EPSILON);
-        for (a, e) in approx.as_slice().iter().zip(exact.as_slice()) {
-            let scale = e.abs().max(1.0);
-            prop_assert!(
-                (a - e).abs() <= tol * scale,
-                "f32 path drifted: {a} vs {e} (tol {tol:e}, scale {scale})"
-            );
-        }
     }
 
     #[test]

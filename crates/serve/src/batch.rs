@@ -40,8 +40,7 @@
 //! beyond queue order: each batch is dispatched to the pool asynchronously and the
 //! dispatcher immediately opens the next one.
 
-use crate::store::ViewShadowF32;
-use crate::wire::{CandidateKind, NamedOutput, Precision};
+use crate::wire::{CandidateKind, NamedOutput};
 use crate::{ModelStore, Result, ServeError};
 use linalg::{ColsView, Matrix};
 use mvcore::{InputKind, MultiViewModel, Output};
@@ -113,11 +112,6 @@ pub struct EngineStats {
     /// Requests dropped (in-band, with [`ServeError::DeadlineExceeded`]) because
     /// their deadline passed before execution.
     pub deadline_dropped: usize,
-    /// View requests served through the opt-in `f32` fast path (v6): the model
-    /// exposed an `f32` shadow of the requested view's projection and the batch
-    /// ran through it. `F32` requests against models without a shadow fall back
-    /// to `f64` and are *not* counted — the counter reports what actually ran.
-    pub f32_transforms: usize,
 }
 
 impl EngineStats {
@@ -134,7 +128,6 @@ impl EngineStats {
             ("shed_queue_full".into(), self.shed_queue_full as u64),
             ("shed_model_limit".into(), self.shed_model_limit as u64),
             ("deadline_dropped".into(), self.deadline_dropped as u64),
-            ("engine/f32_transforms".into(), self.f32_transforms as u64),
         ]
     }
 }
@@ -146,11 +139,8 @@ enum BatchOp {
     /// `model.transform(all views)`.
     Transform,
     /// `model.transform_view(v, view)` — single-view requests carry exactly one
-    /// matrix, so batching them stitches **one** view instead of all `m`. The
-    /// requested [`Precision`] is part of the key: `f32` and `f64` requests
-    /// never coalesce into one model call, so each request gets exactly the
-    /// arithmetic it asked for.
-    View(usize, Precision),
+    /// matrix, so batching them stitches **one** view instead of all `m`.
+    View(usize),
 }
 
 /// A request's input matrices, `Arc`-shared with the submitter (the server's
@@ -247,6 +237,22 @@ struct Shared {
     /// Behind its own `Arc` so pool jobs can record fallbacks after the dispatcher
     /// has moved on.
     stats: Arc<Mutex<EngineStats>>,
+    /// Test seam: taken and run once by the dispatcher, with the queue lock
+    /// held, between its stop check and its condvar wait.
+    #[cfg(test)]
+    before_wait: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+impl Shared {
+    /// Set the stop flag and wake the dispatcher. Both happen under the queue
+    /// lock: the dispatcher checks the flag under that lock and then waits on
+    /// the condvar, so a stop cannot land between its check and its wait and be
+    /// lost (which would leave `Drop` joining a sleeping dispatcher forever).
+    fn request_stop(&self) {
+        let _queue = self.queue.lock().expect("engine queue lock");
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake.notify_all();
+    }
 }
 
 /// The micro-batching transform engine. Cheap to clone handles are not provided;
@@ -278,6 +284,8 @@ impl BatchEngine {
             wake: Condvar::new(),
             stop: AtomicBool::new(false),
             stats: Arc::new(Mutex::new(EngineStats::default())),
+            #[cfg(test)]
+            before_wait: Mutex::new(None),
         });
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -400,22 +408,17 @@ impl BatchEngine {
     /// coalesce into one `transform_view` call that — for feature views — addresses
     /// every request's columns in place through a [`linalg::ColsView`]: no stitched
     /// copy, no per-view `hstack`, zero input copies.
-    /// `precision` selects the arithmetic (v6): [`Precision::F32`] runs the
-    /// projection through the model's cached `f32` shadow when one exists for
-    /// this view, and silently falls back to the bit-exact `f64` path when it
-    /// does not ([`EngineStats::f32_transforms`] reports which one ran).
     pub fn submit_transform_view(
         &self,
         model: &str,
         which: usize,
         input: Arc<Matrix>,
-        precision: Precision,
         deadline: Option<Instant>,
         reply: ReplyCallback,
     ) {
         self.enqueue(
             model,
-            BatchOp::View(which, precision),
+            BatchOp::View(which),
             PendingInputs::View(input),
             deadline,
             reply,
@@ -487,27 +490,13 @@ impl BatchEngine {
         rx.recv().map_err(|_| ServeError::EngineStopped)?
     }
 
-    /// Blocking counterpart of [`BatchEngine::submit_transform_view`], at the
-    /// default `f64` precision.
+    /// Blocking counterpart of [`BatchEngine::submit_transform_view`].
     pub fn transform_view(&self, model: &str, which: usize, input: Matrix) -> Result<Matrix> {
-        self.transform_view_precision(model, which, input, Precision::F64)
-    }
-
-    /// Blocking counterpart of [`BatchEngine::submit_transform_view`] with an
-    /// explicit precision.
-    pub fn transform_view_precision(
-        &self,
-        model: &str,
-        which: usize,
-        input: Matrix,
-        precision: Precision,
-    ) -> Result<Matrix> {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         self.submit_transform_view(
             model,
             which,
             Arc::new(input),
-            precision,
             None,
             Box::new(move |r| drop(tx.send(r))),
         );
@@ -535,8 +524,7 @@ impl BatchEngine {
     /// [`ServeError::EngineStopped`]. Used by the router to simulate/realize shard
     /// death; idempotent.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wake.notify_all();
+        self.shared.request_stop();
     }
 
     /// Whether [`BatchEngine::stop`] has been called.
@@ -623,6 +611,10 @@ fn dispatch_loop(shared: &Shared) {
                 }
                 if let Some(p) = queue.pop_front() {
                     break p;
+                }
+                #[cfg(test)]
+                if let Some(hook) = shared.before_wait.lock().expect("hook lock").take() {
+                    hook();
                 }
                 queue = shared.wake.wait(queue).expect("engine queue lock");
             }
@@ -711,37 +703,16 @@ fn dispatch_loop(shared: &Shared) {
     }
 }
 
-/// Project the columns through a view's `f32` shadow: the narrowed factors were
-/// cached at shadow build time, so a request only pays the one `f32` GEMM (plus
-/// narrowing its own input columns inside the pack). Accuracy is governed by the
-/// tolerance contract on [`ColsView::shifted_t_matmul_f32`].
-fn run_view_f32(shadow: &ViewShadowF32, cols: &ColsView<'_>) -> Result<Matrix> {
-    cols.shifted_t_matmul_f32(shadow.shift.as_deref(), &shadow.weights)
-        .map_err(|e| ServeError::from(mvcore::CoreError::from(e)))
-}
-
 /// Run one request alone (the singleton-bypass and fallback path): the model reads
-/// the borrowed `Arc`'d input directly — no stitch, no copy. `f32_view` is the
-/// shadow to project through when the request asked for (and the model supports)
-/// the `f32` path.
-fn run_single(
-    model: &dyn MultiViewModel,
-    op: BatchOp,
-    inputs: &PendingInputs,
-    f32_view: Option<&ViewShadowF32>,
-) -> Result<Matrix> {
+/// the borrowed `Arc`'d input directly — no stitch, no copy.
+fn run_single(model: &dyn MultiViewModel, op: BatchOp, inputs: &PendingInputs) -> Result<Matrix> {
     match (op, inputs) {
         (BatchOp::Transform, PendingInputs::Full(views)) => {
             model.transform(views).map_err(ServeError::from)
         }
-        (BatchOp::View(v, _), PendingInputs::View(input)) => match f32_view {
-            Some(shadow) => {
-                let cols = ColsView::from_matrices(std::iter::once(&**input))
-                    .map_err(|e| ServeError::Protocol(e.to_string()))?;
-                run_view_f32(shadow, &cols)
-            }
-            None => model.transform_view(v, input).map_err(ServeError::from),
-        },
+        (BatchOp::View(v), PendingInputs::View(input)) => {
+            model.transform_view(v, input).map_err(ServeError::from)
+        }
         _ => Err(ServeError::Protocol(
             "request inputs do not match its operation".into(),
         )),
@@ -783,22 +754,6 @@ fn execute_batch(
             return;
         }
     };
-    // Resolve the f32 shadow once per batch (every member shares the batch key,
-    // so one resolution covers them all). Only feature views have a projection
-    // to narrow; an F32 request the model cannot shadow falls back to f64.
-    let shadow = match batch[0].op {
-        BatchOp::View(_, Precision::F32) if kind == InputKind::Views => {
-            store.f32_shadow(&batch[0].model).ok()
-        }
-        _ => None,
-    };
-    let f32_view = match batch[0].op {
-        BatchOp::View(which, _) => shadow.as_deref().and_then(|s| s.view(which)),
-        BatchOp::Transform => None,
-    };
-    if f32_view.is_some() {
-        stats.lock().expect("engine stats lock").f32_transforms += batch.len();
-    }
     if batch.len() == 1 {
         // Singleton bypass: the coalescing path (and any stitching it might do) is
         // skipped entirely — the model reads the request's own matrices in place.
@@ -806,7 +761,7 @@ fn execute_batch(
         let Pending {
             op, inputs, reply, ..
         } = batch.into_iter().next().expect("one request");
-        reply(run_single(model.as_ref(), op, &inputs, f32_view));
+        reply(run_single(model.as_ref(), op, &inputs));
         return;
     }
 
@@ -817,7 +772,7 @@ fn execute_batch(
     // this can undercount, never overcount: the stat stays honest.)
     let view_batch = matches!(batch[0].op, BatchOp::View(..)) && kind == InputKind::Views;
     let stitches_before = linalg::input_stitches();
-    match run_coalesced(model.as_ref(), kind, &batch, f32_view) {
+    match run_coalesced(model.as_ref(), kind, &batch) {
         Ok(embeddings) => {
             if view_batch && linalg::input_stitches() == stitches_before {
                 stats.lock().expect("engine stats lock").zero_copy_batches += 1;
@@ -831,7 +786,7 @@ fn execute_batch(
             // individually.
             stats.lock().expect("engine stats lock").fallbacks += 1;
             for pending in batch {
-                let result = run_single(model.as_ref(), pending.op, &pending.inputs, f32_view);
+                let result = run_single(model.as_ref(), pending.op, &pending.inputs);
                 (pending.reply)(result);
             }
         }
@@ -911,7 +866,6 @@ fn run_coalesced(
     model: &dyn MultiViewModel,
     kind: InputKind,
     batch: &[Pending],
-    f32_view: Option<&ViewShadowF32>,
 ) -> Result<Vec<Matrix>> {
     let z = match batch[0].op {
         BatchOp::Transform => {
@@ -935,17 +889,11 @@ fn run_coalesced(
             }
             model.transform(&stitched)?
         }
-        BatchOp::View(which, _) => match kind {
+        BatchOp::View(which) => match kind {
             InputKind::Views => {
                 let cols = ColsView::from_matrices(batch.iter().map(|p| p.inputs.part(0)))
                     .map_err(|e| ServeError::Protocol(e.to_string()))?;
-                match f32_view {
-                    // The f32 fast path is zero-copy by the same construction
-                    // as the f64 one: the shadow's GEMM packs straight from the
-                    // borrowed request columns.
-                    Some(shadow) => run_view_f32(shadow, &cols)?,
-                    None => model.transform_view_cols(which, &cols)?,
-                }
+                model.transform_view_cols(which, &cols)?
             }
             InputKind::Kernels => model.transform_view(which, &stitch_view(kind, batch, 0)?)?,
         },
@@ -1149,42 +1097,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_precision_tracks_f64_within_tolerance_and_counts() {
-        let views = fixture_views();
-        let engine = engine_with("pca", "PCA", &views);
-        let baseline = engine.transform_view("pca", 0, views[0].clone()).unwrap();
-        let fast = engine
-            .transform_view_precision("pca", 0, views[0].clone(), Precision::F32)
-            .unwrap();
-        assert_eq!(
-            (fast.rows(), fast.cols()),
-            (baseline.rows(), baseline.cols())
-        );
-        // The documented contract of the f32 path: relative error within
-        // 4·k·ε₃₂ of the f64 answer (k = features of the view).
-        let tol = 4.0 * views[0].rows() as f64 * f64::from(f32::EPSILON);
-        for (a, b) in fast.as_slice().iter().zip(baseline.as_slice()) {
-            assert!(
-                (a - b).abs() <= tol * b.abs().max(1.0),
-                "f32 path drifted: {a} vs {b} (tol {tol})"
-            );
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.f32_transforms, 1, "only the F32 request counts");
-
-        // A model without a linear per-view projection silently serves the
-        // bit-exact f64 path on an F32 request — same answer, no counter.
-        let views2 = fixture_views();
-        let engine2 = engine_with("cat", "CAT", &views2);
-        let f64_z = engine2.transform_view("cat", 0, views2[0].clone()).unwrap();
-        let f32_z = engine2
-            .transform_view_precision("cat", 0, views2[0].clone(), Precision::F32)
-            .unwrap();
-        assert_eq!(f32_z, f64_z, "fallback must be bit-exact f64");
-        assert_eq!(engine2.stats().f32_transforms, 0);
-    }
-
-    #[test]
     fn outputs_are_served_with_model_labels() {
         let views = fixture_views();
         let engine = engine_with("bsf", "BSF", &views);
@@ -1225,6 +1137,50 @@ mod tests {
         let engine = BatchEngine::start(store, BatchConfig::default());
         let err = engine.transform("cat", views).map(|_| ()).unwrap_err();
         assert!(matches!(err, ServeError::UnknownModel { .. }));
+    }
+
+    #[test]
+    fn stop_between_the_dispatch_check_and_wait_is_not_lost() {
+        // The dispatcher checks the stop flag under the queue lock and then
+        // waits on the condvar. The hook runs in exactly that gap, stops the
+        // engine from another thread, and waits for that stop to finish before
+        // letting the dispatcher go to sleep. A stop that can complete inside
+        // the gap has already notified nobody, so the dispatcher sleeps forever
+        // and the join below never returns. A stop that takes the queue lock
+        // cannot finish until the dispatcher is waiting, so its wakeup lands;
+        // the hook's bounded wait then just times out. The outer thread bounds
+        // the whole test so a lost wakeup fails it instead of hanging the run.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let store = Arc::new(ModelStore::new(EstimatorRegistry::with_builtin()));
+            let mut engine = BatchEngine::start(store, BatchConfig::default());
+            let shared = Arc::clone(&engine.shared);
+            let hook = Box::new(move || {
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    shared.request_stop();
+                    let _ = tx.send(());
+                });
+                let _ = rx.recv_timeout(Duration::from_millis(500));
+            });
+            {
+                // Installed and announced under the queue lock, so the
+                // dispatcher either has not reached its wait yet (and will take
+                // the hook) or is waiting (and this wakeup reaches it).
+                let _queue = engine.shared.queue.lock().unwrap();
+                *engine.shared.before_wait.lock().unwrap() = Some(hook);
+                engine.shared.wake.notify_all();
+            }
+            // Join without a second stop: `Drop` would re-notify and mask a lost
+            // wakeup.
+            let dispatcher = engine.dispatcher.take().expect("dispatcher thread");
+            dispatcher.join().expect("dispatcher exits cleanly");
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
+            "the dispatcher slept through a stop that landed before its wait"
+        );
     }
 
     #[test]

@@ -29,8 +29,7 @@
 
 use crate::faults::{self, Site};
 use crate::wire::{
-    read_frame, write_frame, ModelInfo, NamedOutput, Precision, Request, RescanReport, Response,
-    ShardInfo,
+    read_frame, write_frame, ModelInfo, NamedOutput, Request, RescanReport, Response, ShardInfo,
 };
 use crate::{Result, ServeError};
 use linalg::Matrix;
@@ -265,28 +264,12 @@ impl Client {
         }
     }
 
-    /// Project a single view through the model's per-view projection (v2), at
-    /// the default `f64` precision.
+    /// Project a single view through the model's per-view projection (v2).
     pub fn transform_view(&mut self, model: &str, view: usize, input: &Matrix) -> Result<Matrix> {
-        self.transform_view_precision(model, view, input, Precision::F64)
-    }
-
-    /// [`Client::transform_view`] with an explicit compute precision (v6).
-    /// [`Precision::F32`] travels as the v6 opcode; servers without an `f32`
-    /// shadow for the model serve the `f64` path and the reply is
-    /// indistinguishable in shape.
-    pub fn transform_view_precision(
-        &mut self,
-        model: &str,
-        view: usize,
-        input: &Matrix,
-        precision: Precision,
-    ) -> Result<Matrix> {
         match self.call(&Request::TransformView {
             model: model.to_string(),
             view: view as u32,
             input: input.clone(),
-            precision,
         })? {
             Response::Embedding(z) => Ok(z),
             other => Err(Self::error_from(other, "TransformView")),
@@ -301,25 +284,11 @@ impl Client {
         input: &Matrix,
         budget_ms: u32,
     ) -> Result<Matrix> {
-        self.transform_view_deadline_precision(model, view, input, budget_ms, Precision::F64)
-    }
-
-    /// [`Client::transform_view_deadline`] with an explicit compute precision
-    /// (v6).
-    pub fn transform_view_deadline_precision(
-        &mut self,
-        model: &str,
-        view: usize,
-        input: &Matrix,
-        budget_ms: u32,
-        precision: Precision,
-    ) -> Result<Matrix> {
         match self.call_deadline(
             Request::TransformView {
                 model: model.to_string(),
                 view: view as u32,
                 input: input.clone(),
-                precision,
             },
             budget_ms,
         )? {

@@ -73,9 +73,8 @@ pub use reactor::ReactorKind;
 pub use router::{Router, RouterBuilder, RouterConfig, RouterStats, Shard};
 pub use server::{Server, ServerTuning, ShutdownHandle};
 pub use service::TransformService;
-pub use store::{ModelShadowF32, ModelStore, StoredModel, ViewShadowF32, MODEL_EXTENSION};
+pub use store::{ModelStore, StoredModel, MODEL_EXTENSION};
 pub use trainer::{TrainerConfig, TrainerService};
-pub use wire::Precision;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

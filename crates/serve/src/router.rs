@@ -51,7 +51,7 @@
 use crate::batch::{OutputsCallback, ReplyCallback};
 use crate::faults::splitmix64;
 use crate::service::{store_catalog, TransformService};
-use crate::wire::{ModelInfo, NamedOutput, Precision, RescanReport, ShardInfo};
+use crate::wire::{ModelInfo, NamedOutput, RescanReport, ShardInfo};
 use crate::{BatchConfig, BatchEngine, Client, ErrorClass, ModelStore, Result, ServeError};
 use linalg::Matrix;
 use mvcore::EstimatorRegistry;
@@ -864,21 +864,15 @@ impl TransformService for Router {
         model: &str,
         which: usize,
         input: Arc<Matrix>,
-        precision: Precision,
         deadline: Option<Instant>,
         reply: ReplyCallback,
     ) {
         let candidates = self.candidates(model);
         let model = model.to_string();
         let attempt: Attempt<Matrix> = Arc::new(move |inner, shard, cb| match &shard.backend {
-            Backend::Local { engine } => engine.submit_transform_view(
-                &model,
-                which,
-                Arc::clone(&input),
-                precision,
-                deadline,
-                cb,
-            ),
+            Backend::Local { engine } => {
+                engine.submit_transform_view(&model, which, Arc::clone(&input), deadline, cb)
+            }
             Backend::Remote { .. } => {
                 let inner = Arc::clone(inner);
                 let shard = Arc::clone(shard);
@@ -886,13 +880,9 @@ impl TransformService for Router {
                 let input = Arc::clone(&input);
                 inner.clone().io_pool.spawn(move || {
                     cb(with_remote_conn(&inner, &shard, |c| {
-                        // The precision opt-in survives the hop: the remote
-                        // shard decides f32 vs f64 from its own shadow cache.
                         match arm_deadline(c, deadline, inner.remote_timeout) {
-                            Some(ms) => c.transform_view_deadline_precision(
-                                &model, which, &input, ms, precision,
-                            ),
-                            None => c.transform_view_precision(&model, which, &input, precision),
+                            Some(ms) => c.transform_view_deadline(&model, which, &input, ms),
+                            None => c.transform_view(&model, which, &input),
                         }
                     }));
                 });

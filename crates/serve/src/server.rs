@@ -490,18 +490,12 @@ impl Server {
                 );
                 None
             }
-            Request::TransformView {
-                model,
-                view,
-                input,
-                precision,
-            } => {
+            Request::TransformView { model, view, input } => {
                 let complete = self.completer(conn_id, gen, id, v1_seq);
                 self.service.submit_transform_view(
                     &model,
                     view as usize,
                     std::sync::Arc::new(input),
-                    precision,
                     deadline,
                     Box::new(move |result| {
                         complete(match result {
@@ -1105,18 +1099,12 @@ fn serve_blocking(stream: TcpStream, service: &Arc<dyn TransformService>) -> Res
                             Err(_) => Response::Error(ServeError::EngineStopped.to_string()),
                         }
                     }
-                    Request::TransformView {
-                        model,
-                        view,
-                        input,
-                        precision,
-                    } => {
+                    Request::TransformView { model, view, input } => {
                         let (tx, rx) = std::sync::mpsc::sync_channel(1);
                         service.submit_transform_view(
                             &model,
                             view as usize,
                             std::sync::Arc::new(input),
-                            precision,
                             deadline,
                             Box::new(move |r| drop(tx.send(r))),
                         );

@@ -8,7 +8,7 @@
 //! served from headers, never from payloads.
 
 use crate::batch::{OutputsCallback, ReplyCallback};
-use crate::wire::{ModelInfo, Precision, RescanReport, ShardInfo};
+use crate::wire::{ModelInfo, RescanReport, ShardInfo};
 use crate::{BatchEngine, ModelStore, Result};
 use linalg::Matrix;
 use std::sync::Arc;
@@ -37,15 +37,11 @@ pub trait TransformService: Send + Sync {
     );
 
     /// Project a single view through the model's per-view projection.
-    /// `precision` is the v6 opt-in: [`Precision::F32`] asks for the engine's
-    /// cached single-precision shadow of the factor matrices, falling back to
-    /// the bit-exact `f64` path when the model has none.
     fn submit_transform_view(
         &self,
         model: &str,
         which: usize,
         input: Arc<Matrix>,
-        precision: Precision,
         deadline: Option<Instant>,
         reply: ReplyCallback,
     );
@@ -143,11 +139,10 @@ impl TransformService for BatchEngine {
         model: &str,
         which: usize,
         input: Arc<Matrix>,
-        precision: Precision,
         deadline: Option<Instant>,
         reply: ReplyCallback,
     ) {
-        BatchEngine::submit_transform_view(self, model, which, input, precision, deadline, reply);
+        BatchEngine::submit_transform_view(self, model, which, input, deadline, reply);
     }
 
     fn submit_outputs(
@@ -171,15 +166,12 @@ impl TransformService for BatchEngine {
     fn stats(&self) -> Vec<(String, u64)> {
         let mut counters = BatchEngine::stats(self).counters();
         counters.extend(self.store().counters());
-        // Kernel-level observability (v6): how many B-panel packs the shared
-        // arena saved other row bands, and which kernel mode this process
-        // resolved to (0 = strict, 1 = fma) — a gauge, reported through the
-        // same name/value pairs the Stats op merges by name.
+        // Kernel-level observability: how many B-panel packs the shared arena
+        // saved other row bands.
         counters.push((
             "engine/shared_pack_hits".into(),
             linalg::gemm::shared_pack_hits(),
         ));
-        counters.push(("kernel/mode".into(), linalg::gemm::kernel_mode() as u64));
         counters
     }
 }

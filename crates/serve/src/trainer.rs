@@ -24,7 +24,7 @@
 
 use crate::batch::{OutputsCallback, ReplyCallback};
 use crate::service::TransformService;
-use crate::wire::{ModelInfo, Precision, RescanReport};
+use crate::wire::{ModelInfo, RescanReport};
 use crate::{BatchEngine, Result, ServeError, MODEL_EXTENSION};
 use linalg::Matrix;
 use mvcore::FitSpec;
@@ -317,7 +317,6 @@ impl TransformService for TrainerService {
         model: &str,
         which: usize,
         input: Arc<Matrix>,
-        precision: Precision,
         deadline: Option<Instant>,
         reply: ReplyCallback,
     ) {
@@ -325,7 +324,7 @@ impl TransformService for TrainerService {
         // needs every view of an instance.
         self.shared
             .engine
-            .submit_transform_view(model, which, input, precision, deadline, reply);
+            .submit_transform_view(model, which, input, deadline, reply);
     }
 
     fn submit_outputs(

@@ -21,7 +21,7 @@
 //! | 9 | `AddShard` | address (`u32` + UTF-8) (v5) |
 //! | 10 | `RemoveShard` | `u64` shard id (v5) |
 //! | 11 | `ClusterInfo` | — (v5) |
-//! | 12 | `TransformView` + precision | name, `u32` view index, `u8` precision, one matrix (v6) |
+//! | 12 | `TransformView` + precision | name, `u32` view index, `u8` precision (0 or 1), one matrix (v6; decoded only) |
 //! | 16 | `Tagged` | `u64` request id, then a nested untagged request (v2) |
 //! | 17 | `Tagged` + deadline | `u64` request id, `u32` deadline ms, then a nested untagged request (v4) |
 //!
@@ -90,18 +90,16 @@
 //! table (a plain engine-backed `tcca_serve serve`), the ops are answered with
 //! an in-band `Error` — the connection survives.
 //!
-//! ## Protocol v6: per-request transform precision
+//! ## Protocol v6: the precision byte
 //!
-//! v6 lets a client ask for the reduced-precision serving fast path on a
-//! per-request basis. `TransformView` grows a [`Precision`] field: requests at
-//! the default [`Precision::F64`] still encode as opcode 5 — byte-for-byte the
-//! v2 layout, so v2–v5 peers interoperate unchanged — while [`Precision::F32`]
-//! encodes as the new opcode 12, which inserts one `u8` precision byte between
-//! the view index and the matrix. Matrices always travel as `f64` bit patterns
-//! regardless of precision: the field selects the *compute* path (the engine's
-//! cached `f32` shadow of the factor matrices), not the wire encoding. Servers
-//! without an `f32` shadow for the model silently serve the `f64` path; the
-//! reply shape is identical either way.
+//! v6 clients could ask for a reduced-precision compute path by sending
+//! `TransformView` as opcode 12, which inserts one `u8` precision byte (0 for
+//! f64, 1 for f32) between the view index and the matrix. The server still
+//! decodes and validates opcode 12 — a precision byte other than 0 or 1 is a
+//! [`ServeError::Protocol`] error, answered in band — and serves every valid
+//! opcode-12 frame as the f64 `TransformView`, bit-identical to opcode 5 (the
+//! v6 contract always allowed an f32 request to be answered in exact f64).
+//! The encoder only ever emits opcode 5.
 
 use crate::{Result, ServeError};
 use linalg::Matrix;
@@ -116,22 +114,6 @@ pub const TAGGED_OPCODE: u8 = 16;
 
 /// Opcode of the v4 deadline-carrying `Tagged` request envelope.
 pub const TAGGED_DEADLINE_OPCODE: u8 = 17;
-
-/// Arithmetic precision a `TransformView` request asks the engine to compute in
-/// (v6). Inputs and replies are `f64` on the wire either way; `F32` routes the
-/// projection through the engine's cached single-precision shadow of the factor
-/// matrices — roughly half the memory traffic, bounded relative error (see
-/// `linalg::ColsView::shifted_t_matmul_f32`) — when the model exposes one, and
-/// falls back to the bit-exact `f64` path when it does not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Full double precision — the default, bit-identical to every prior
-    /// protocol version.
-    #[default]
-    F64,
-    /// Opt-in single-precision compute path.
-    F32,
-}
 
 /// A request from client to server.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,9 +148,6 @@ pub enum Request {
         view: u32,
         /// The view matrix (features × instances, or a kernel block).
         input: Matrix,
-        /// Requested compute precision (v6). [`Precision::F64`] encodes as the
-        /// v2 opcode 5 layout; [`Precision::F32`] as opcode 12.
-        precision: Precision,
     },
     /// Re-scan the server's model directory for new/changed/removed `.mvm` files
     /// (v2). A router forwards this to every live shard.
@@ -449,26 +428,12 @@ impl Request {
                     push_matrix(out, m);
                 }
             }
-            Request::TransformView {
-                model,
-                view,
-                input,
-                precision,
-            } => match precision {
-                Precision::F64 => {
-                    out.push(5);
-                    push_str(out, model);
-                    push_u32(out, *view);
-                    push_matrix(out, input);
-                }
-                Precision::F32 => {
-                    out.push(12);
-                    push_str(out, model);
-                    push_u32(out, *view);
-                    out.push(1);
-                    push_matrix(out, input);
-                }
-            },
+            Request::TransformView { model, view, input } => {
+                out.push(5);
+                push_str(out, model);
+                push_u32(out, *view);
+                push_matrix(out, input);
+            }
             Request::Rescan => out.push(6),
             Request::Stats => out.push(7),
             Request::Refit => out.push(8),
@@ -553,16 +518,23 @@ impl Request {
                     .collect::<Result<Vec<_>>>()?;
                 Request::Outputs { model, inputs }
             }
-            5 => {
+            op @ (5 | 12) => {
                 let model = c.string("model name")?;
                 let view = c.u32("view index")?;
-                let input = c.matrix("view matrix")?;
-                Request::TransformView {
-                    model,
-                    view,
-                    input,
-                    precision: Precision::F64,
+                // The v6 opcode 12 adds a precision byte; both valid values are
+                // served as the f64 request.
+                if op == 12 {
+                    match c.u8("transform precision")? {
+                        0 | 1 => {}
+                        p => {
+                            return Err(ServeError::Protocol(format!(
+                                "unknown transform precision {p}"
+                            )))
+                        }
+                    }
                 }
+                let input = c.matrix("view matrix")?;
+                Request::TransformView { model, view, input }
             }
             6 => Request::Rescan,
             7 => Request::Stats,
@@ -574,26 +546,6 @@ impl Request {
                 shard: c.u64("shard id")?,
             },
             11 => Request::ClusterInfo,
-            12 => {
-                let model = c.string("model name")?;
-                let view = c.u32("view index")?;
-                let precision = match c.u8("transform precision")? {
-                    0 => Precision::F64,
-                    1 => Precision::F32,
-                    p => {
-                        return Err(ServeError::Protocol(format!(
-                            "unknown transform precision {p}"
-                        )))
-                    }
-                };
-                let input = c.matrix("view matrix")?;
-                Request::TransformView {
-                    model,
-                    view,
-                    input,
-                    precision,
-                }
-            }
             op @ (TAGGED_OPCODE | TAGGED_DEADLINE_OPCODE) if allow_tag => {
                 let id = c.u64("request id")?;
                 let deadline_ms = if op == TAGGED_DEADLINE_OPCODE {
@@ -920,13 +872,6 @@ mod tests {
                 model: "cca-ls".into(),
                 view: 2,
                 input: sample_matrix(),
-                precision: Precision::F64,
-            },
-            Request::TransformView {
-                model: "cca-ls".into(),
-                view: 2,
-                input: sample_matrix(),
-                precision: Precision::F32,
             },
             Request::Rescan,
             Request::Stats,
@@ -977,46 +922,70 @@ mod tests {
         assert_eq!(&with_deadline[9..13], &1500u32.to_le_bytes());
     }
 
+    /// A hand-built v6 opcode-12 frame: name, view index, precision byte, matrix.
+    fn opcode_12(model: &str, view: u32, precision: u8, input: &Matrix) -> Vec<u8> {
+        let mut payload = vec![12u8];
+        push_str(&mut payload, model);
+        push_u32(&mut payload, view);
+        payload.push(precision);
+        push_matrix(&mut payload, input);
+        payload
+    }
+
     #[test]
-    fn f64_transform_view_keeps_the_v2_opcode_5_layout() {
-        // v6 compatibility: the default precision must encode byte-for-byte as
-        // the v2 request, so pre-v6 servers keep understanding default clients.
+    fn transform_view_encodes_as_the_v2_opcode_5_layout() {
         let input = sample_matrix();
-        let v6 = Request::TransformView {
+        let bytes = Request::TransformView {
             model: "m".into(),
             view: 1,
             input: input.clone(),
-            precision: Precision::F64,
         }
         .encode();
-        assert_eq!(v6[0], 5);
         let mut v2 = vec![5u8];
         push_str(&mut v2, "m");
         push_u32(&mut v2, 1);
         push_matrix(&mut v2, &input);
-        assert_eq!(v6, v2);
+        assert_eq!(bytes, v2);
+    }
 
-        let f32_bytes = Request::TransformView {
+    #[test]
+    fn opcode_12_decodes_as_the_f64_transform_view_for_both_precision_bytes() {
+        let input = sample_matrix();
+        let want = Request::TransformView {
             model: "m".into(),
             view: 1,
-            input,
-            precision: Precision::F32,
+            input: input.clone(),
+        };
+        for precision in [0u8, 1] {
+            let frame = opcode_12("m", 1, precision, &input);
+            assert_eq!(Request::decode(&frame).unwrap(), want, "byte {precision}");
+            // Inside a tagged envelope too, as the v6 client sent it.
+            let mut tagged = vec![TAGGED_OPCODE];
+            tagged.extend_from_slice(&5u64.to_le_bytes());
+            tagged.extend_from_slice(&frame);
+            assert_eq!(
+                Request::decode(&tagged).unwrap(),
+                want.clone().tagged(5),
+                "tagged byte {precision}"
+            );
         }
-        .encode();
-        assert_eq!(f32_bytes[0], 12);
-        // name (4 + 1) then view index (4), then the precision byte.
-        assert_eq!(f32_bytes[1 + 5 + 4], 1);
     }
 
     #[test]
     fn unknown_precision_byte_is_a_protocol_error() {
-        let mut payload = vec![12u8];
-        push_str(&mut payload, "m");
-        push_u32(&mut payload, 0);
-        payload.push(9); // not a precision
-        push_matrix(&mut payload, &sample_matrix());
-        let err = Request::decode(&payload).unwrap_err();
-        assert!(err.to_string().contains("unknown transform precision"));
+        for bad in [2u8, 9, u8::MAX] {
+            let err = Request::decode(&opcode_12("m", 0, bad, &sample_matrix())).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Protocol(_)),
+                "byte {bad}: {err:?}"
+            );
+            assert!(err.to_string().contains("unknown transform precision"));
+        }
+        // A frame cut off before the precision byte is malformed, not a panic.
+        let mut short = vec![12u8];
+        push_str(&mut short, "m");
+        push_u32(&mut short, 0);
+        assert!(Request::decode(&short).is_err());
     }
 
     #[test]

@@ -281,6 +281,60 @@ fn valid_control_ops_against_an_engine_backed_server_error_in_band() {
     stop();
 }
 
+/// The embedding in a reply, as exact f64 bit patterns.
+fn embedding_bits(resp: Response) -> Vec<u64> {
+    match resp {
+        Response::Embedding(z) => z.as_slice().iter().map(|v| v.to_bits()).collect(),
+        other => panic!("expected an embedding, got {other:?}"),
+    }
+}
+
+#[test]
+fn v6_opcode_12_is_served_as_the_f64_transform_view() {
+    let (addr, stop) = start_server();
+    let views = fixture_views();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let v5 = serve::wire::Request::TransformView {
+        model: "pca".into(),
+        view: 1,
+        input: views[1].clone(),
+    }
+    .encode();
+    assert_eq!(v5[0], 5);
+    serve::wire::write_frame(&mut stream, &v5).unwrap();
+    let want = embedding_bits(read_reply(&mut stream));
+    assert_eq!(want.len(), views[1].cols() * 2);
+
+    // Opcode 12 is opcode 5 with one precision byte between the view index
+    // and the matrix: opcode, name (u32 length + bytes), u32 view.
+    let head = 1 + 4 + "pca".len() + 4;
+    let opcode_12 = |precision: u8| {
+        let mut payload = vec![12u8];
+        payload.extend_from_slice(&v5[1..head]);
+        payload.push(precision);
+        payload.extend_from_slice(&v5[head..]);
+        payload
+    };
+    // Both valid precision bytes, f64 (0) and f32 (1), get the exact f64 reply.
+    for precision in [0u8, 1] {
+        serve::wire::write_frame(&mut stream, &opcode_12(precision)).unwrap();
+        assert_eq!(
+            embedding_bits(read_reply(&mut stream)),
+            want,
+            "precision byte {precision}"
+        );
+    }
+    // Any other byte is a protocol error in band, and the connection keeps
+    // serving transforms and pings.
+    serve::wire::write_frame(&mut stream, &opcode_12(2)).unwrap();
+    expect_protocol_error(read_reply(&mut stream), "unknown transform precision");
+    serve::wire::write_frame(&mut stream, &opcode_12(1)).unwrap();
+    assert_eq!(embedding_bits(read_reply(&mut stream)), want);
+    serve::wire::write_frame(&mut stream, &serve::wire::Request::Ping.encode()).unwrap();
+    assert_eq!(read_reply(&mut stream), Response::Pong);
+    stop();
+}
+
 #[test]
 fn hostile_connections_do_not_poison_service_for_others() {
     let (addr, stop) = start_server();

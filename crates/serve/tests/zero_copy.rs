@@ -41,7 +41,6 @@ fn submit_view_burst(
             model,
             which,
             Arc::clone(slice),
-            serve::Precision::F64,
             None,
             Box::new(move |r| drop(tx.send((i, r)))),
         );

@@ -424,8 +424,7 @@ impl DenseTensor {
     ///
     /// Both GEMMs run the engine's sequential reduction, so every output element
     /// is the same left fold, in storage order, as the textbook per-fibre loop:
-    /// the result is bit-identical to it for finite input, for every thread count
-    /// and in both kernel modes.
+    /// the result is bit-identical to it for finite input, for every thread count.
     ///
     /// `factors` must hold one matrix per mode with `factors[k].rows() == shape[k]` and
     /// a common column count `r`; `factors[mode]` is ignored (CP-ALS passes the full
